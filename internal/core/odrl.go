@@ -359,12 +359,12 @@ func New(cores int, table *vf.Table, pwr power.Params, cfg Config) (*Controller,
 			agents[i] = a
 		}
 	}
-	var epsCache *rl.EpsilonCache
-	if agents != nil {
-		epsCache = rl.NewEpsilonCache(rlCfg.EpsilonStart, rlCfg.EpsilonEnd, rlCfg.EpsilonDecay)
-		for _, a := range agents {
-			a.AttachEpsilonCache(epsCache)
-		}
+	epsCache := rl.NewEpsilonCache(rlCfg.EpsilonStart, rlCfg.EpsilonEnd, rlCfg.EpsilonDecay)
+	for _, a := range agents {
+		a.AttachEpsilonCache(epsCache)
+	}
+	for _, a := range linAgents {
+		a.AttachEpsilonCache(epsCache)
 	}
 
 	minOp := table.Min()
@@ -541,13 +541,11 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 	// the first epoch without learning). Agents behind a watchdog hold
 	// miss the cache and compute inline, so the warm value only has to
 	// match the lockstep majority.
-	if c.epsCache != nil {
-		s := c.epoch - 1
-		if s < 0 {
-			s = 0
-		}
-		c.epsCache.WarmAt(s)
+	s := c.epoch - 1
+	if s < 0 {
+		s = 0
 	}
+	c.epsCache.WarmAt(s)
 	if workers := c.localWorkers(n); workers > 1 {
 		if c.pool == nil {
 			c.pool = par.NewPool(workers)

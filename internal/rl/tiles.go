@@ -58,7 +58,7 @@ func (tc *TileCoder) Features() int { return tc.tilings * tc.perTiling }
 
 // ActiveTiles writes the indices of the active features for state x into
 // dst (len(dst) must be Tilings()) and returns dst. Values outside the
-// configured ranges clamp.
+// configured ranges clamp; NaN clamps to the low edge.
 func (tc *TileCoder) ActiveTiles(x []float64, dst []int) []int {
 	if len(x) != len(tc.lows) {
 		panic(fmt.Sprintf("rl: tile coder got %d dims, want %d", len(x), len(tc.lows)))
@@ -70,7 +70,8 @@ func (tc *TileCoder) ActiveTiles(x []float64, dst []int) []int {
 		idx := 0
 		for i := range x {
 			v := (x[i] - tc.lows[i]) / (tc.highs[i] - tc.lows[i]) // [0,1]
-			if v < 0 {
+			// Negated so NaN, which fails every comparison, clamps low too.
+			if !(v >= 0) {
 				v = 0
 			} else if v > 1 {
 				v = 1
@@ -94,23 +95,41 @@ func (tc *TileCoder) Tilings() int { return tc.tilings }
 // active features f. It is the function-approximation counterpart of
 // Agent and follows the same Begin/Step protocol, with continuous state
 // vectors instead of table indices.
+//
+// Eligibility traces live in a sparse trail rather than a dense
+// actions × features table: traceIdx and traceVal hold the flat
+// (act·features + f) key and trace of every pair whose trace is non-zero.
+// Invariant: a pair is in the trail iff its trace is non-zero. A trace
+// decays by γλ per step and is cut to zero below 1e-8, so the trail stays
+// within tilings × ⌈ln 1e-8 / ln γλ⌉ + tilings entries however large the
+// feature space. Each step touches every trail entry once and each weight
+// at most once, so sweeping the trail in any order gives results
+// bit-identical to sweeping the dense table.
 type LinearAgent struct {
 	coder                      *TileCoder
 	actions                    int
+	features                   int
 	alpha                      float64 // per-active-feature step size (already divided by tilings)
 	gamma                      float64
 	lambda                     float64 // eligibility decay; 0 = one-step
 	epsStart, epsEnd, epsDecay float64
 
-	weights [][]float64 // [action][feature]
-	elig    [][]float64
-	r       *rng.RNG
+	weights  []float64 // [act*features + f]
+	traceIdx []int     // trail keys (act*features + f); λ > 0 only
+	traceVal []float64 // trail traces, parallel to traceIdx
+	r        *rng.RNG
 
-	steps     int
-	lastTiles []int
-	lastAct   int
-	started   bool
-	scratch   []int
+	// shared exploration-schedule memo; nil means compute per call.
+	epsCache *EpsilonCache
+
+	steps int
+	// lastTiles and nextTiles are two owned tile buffers swapped every
+	// step, so Step never allocates. Neither aliases scratch, which Q and
+	// Greedy reuse.
+	lastTiles, nextTiles []int
+	lastAct              int
+	started              bool
+	scratch              []int
 }
 
 // LinearConfig parameterises a LinearAgent.
@@ -152,27 +171,27 @@ func NewLinearAgent(coder *TileCoder, cfg LinearConfig, r *rng.RNG) (*LinearAgen
 	if r == nil {
 		return nil, fmt.Errorf("rl: nil rng")
 	}
+	tilings := coder.Tilings()
 	a := &LinearAgent{
-		coder:    coder,
-		actions:  cfg.Actions,
-		alpha:    cfg.Alpha / float64(coder.Tilings()),
-		gamma:    cfg.Gamma,
-		lambda:   cfg.Lambda,
-		epsStart: cfg.EpsilonStart,
-		epsEnd:   cfg.EpsilonEnd,
-		epsDecay: cfg.EpsilonDecay,
-		r:        r,
-		scratch:  make([]int, coder.Tilings()),
-	}
-	a.weights = make([][]float64, cfg.Actions)
-	for i := range a.weights {
-		a.weights[i] = make([]float64, coder.Features())
+		coder:     coder,
+		actions:   cfg.Actions,
+		features:  coder.Features(),
+		alpha:     cfg.Alpha / float64(tilings),
+		gamma:     cfg.Gamma,
+		lambda:    cfg.Lambda,
+		epsStart:  cfg.EpsilonStart,
+		epsEnd:    cfg.EpsilonEnd,
+		epsDecay:  cfg.EpsilonDecay,
+		r:         r,
+		weights:   make([]float64, cfg.Actions*coder.Features()),
+		lastTiles: make([]int, tilings),
+		nextTiles: make([]int, tilings),
+		scratch:   make([]int, tilings),
 	}
 	if cfg.Lambda > 0 {
-		a.elig = make([][]float64, cfg.Actions)
-		for i := range a.elig {
-			a.elig[i] = make([]float64, coder.Features())
-		}
+		n := trailCap(tilings, cfg.Gamma*cfg.Lambda, len(a.weights))
+		a.traceIdx = make([]int, 0, n)
+		a.traceVal = make([]float64, 0, n)
 	}
 	return a, nil
 }
@@ -183,19 +202,48 @@ func (a *LinearAgent) Q(x []float64, act int) float64 {
 	return a.qTiles(tiles, act)
 }
 
+// trailCap sizes the trail: a trace set to 1 stays at or above 1e-8 for
+// at most ⌈ln 1e-8 / ln decay⌉ decays and each step refreshes at most
+// tilings pairs; one more step's worth covers the pairs a step appends
+// before it compacts. The trail never outgrows the cells it keys into.
+func trailCap(tilings int, decay float64, cells int) int {
+	n := float64(tilings) * (math.Ceil(math.Log(1e-8)/math.Log(decay)) + 1)
+	if n > float64(cells) {
+		return cells
+	}
+	return int(n)
+}
+
+//odrl:hotpath
 func (a *LinearAgent) qTiles(tiles []int, act int) float64 {
+	w := a.weights[act*a.features : (act+1)*a.features]
 	sum := 0.0
 	for _, f := range tiles {
-		sum += a.weights[act][f]
+		sum += w[f]
 	}
 	return sum
 }
 
+// AttachEpsilonCache connects the agent to a shared schedule cache, with
+// the same contract as Agent.AttachEpsilonCache: it reports false (and
+// leaves the agent detached) if the cache's schedule differs.
+func (a *LinearAgent) AttachEpsilonCache(ec *EpsilonCache) bool {
+	if ec == nil || ec.start != a.epsStart || ec.end != a.epsEnd || ec.decay != a.epsDecay {
+		return false
+	}
+	a.epsCache = ec
+	return true
+}
+
 // Epsilon returns the current exploration rate.
 func (a *LinearAgent) Epsilon() float64 {
+	if ec := a.epsCache; ec != nil && ec.ok && ec.step == a.steps {
+		return ec.val
+	}
 	return a.epsEnd + (a.epsStart-a.epsEnd)*math.Pow(a.epsDecay, float64(a.steps))
 }
 
+//odrl:hotpath
 func (a *LinearAgent) selectAction(tiles []int) int {
 	if a.r.Float64() < a.Epsilon() {
 		return a.r.Intn(a.actions)
@@ -211,7 +259,7 @@ func (a *LinearAgent) selectAction(tiles []int) int {
 
 // Begin starts an episode at state x and returns the first action.
 func (a *LinearAgent) Begin(x []float64) int {
-	tiles := append([]int(nil), a.coder.ActiveTiles(x, a.scratch)...)
+	tiles := a.coder.ActiveTiles(x, a.lastTiles)
 	act := a.selectAction(tiles)
 	a.lastTiles, a.lastAct = tiles, act
 	a.started = true
@@ -220,41 +268,65 @@ func (a *LinearAgent) Begin(x []float64) int {
 
 // Step learns from the reward and returns the next action (SARSA target;
 // on-policy is the stable choice under function approximation).
+//
+//odrl:hotpath
 func (a *LinearAgent) Step(reward float64, x []float64) int {
 	if !a.started {
 		panic("rl: Step before Begin")
 	}
-	tiles := append([]int(nil), a.coder.ActiveTiles(x, a.scratch)...)
+	tiles := a.coder.ActiveTiles(x, a.nextTiles)
 	nextAct := a.selectAction(tiles)
 
 	delta := reward + a.gamma*a.qTiles(tiles, nextAct) - a.qTiles(a.lastTiles, a.lastAct)
-	if a.elig == nil {
+	base := a.lastAct * a.features
+	if a.lambda == 0 {
 		for _, f := range a.lastTiles {
-			a.weights[a.lastAct][f] += a.alpha * delta
+			a.weights[base+f] += a.alpha * delta
 		}
 	} else {
-		for _, f := range a.lastTiles {
-			a.elig[a.lastAct][f] = 1 // replacing traces
-		}
+		a.refreshTraces(base)
 		decay := a.gamma * a.lambda
-		for act := range a.elig {
-			for f, e := range a.elig[act] {
-				if e == 0 {
-					continue
-				}
-				a.weights[act][f] += a.alpha * delta * e
-				e *= decay
-				if e < 1e-8 {
-					e = 0
-				}
-				a.elig[act][f] = e
+		keep := 0
+		for j, k := range a.traceIdx {
+			e := a.traceVal[j]
+			a.weights[k] += a.alpha * delta * e
+			e *= decay
+			if e < 1e-8 {
+				continue
 			}
+			a.traceIdx[keep], a.traceVal[keep] = k, e
+			keep++
 		}
+		a.traceIdx, a.traceVal = a.traceIdx[:keep], a.traceVal[:keep]
 	}
 
-	a.lastTiles, a.lastAct = tiles, nextAct
+	a.lastTiles, a.nextTiles = tiles, a.lastTiles
+	a.lastAct = nextAct
 	a.steps++
 	return nextAct
+}
+
+// refreshTraces applies replacing traces for the last (state, action):
+// each of its active pairs is set back to 1 in place if it is already in
+// the trail, or appended otherwise.
+//
+//odrl:hotpath
+func (a *LinearAgent) refreshTraces(base int) {
+	for _, f := range a.lastTiles {
+		k := base + f
+		found := false
+		for j, idx := range a.traceIdx {
+			if idx == k {
+				a.traceVal[j] = 1
+				found = true
+				break
+			}
+		}
+		if !found {
+			a.traceIdx = append(a.traceIdx, k)
+			a.traceVal = append(a.traceVal, 1)
+		}
+	}
 }
 
 // Greedy returns the greedy action at x without exploring or learning.

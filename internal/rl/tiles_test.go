@@ -291,3 +291,223 @@ func TestQuickLinearAgentStaysFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Non-finite inputs clamp like out-of-range ones: NaN and −Inf to the low
+// edge, +Inf to the high edge, never to garbage indices.
+func TestActiveTilesNonFinite(t *testing.T) {
+	tc := testCoder(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	low := append([]int(nil), tc.ActiveTiles([]float64{0, 0.5}, nil)...)
+	high := append([]int(nil), tc.ActiveTiles([]float64{1, 0.5}, nil)...)
+	for _, c := range []struct {
+		x    float64
+		want []int
+	}{{nan, low}, {-inf, low}, {inf, high}} {
+		got := tc.ActiveTiles([]float64{c.x, 0.5}, nil)
+		for i, f := range got {
+			if f < 0 || f >= tc.Features() {
+				t.Fatalf("x=%v: feature %d out of range [0,%d)", c.x, f, tc.Features())
+			}
+			if f != c.want[i] {
+				t.Fatalf("x=%v: tiles %v, want %v", c.x, got, c.want)
+			}
+		}
+	}
+
+	// The exported agent no longer panics on a NaN observation.
+	a, err := NewLinearAgent(tc, LinearConfig{
+		Actions: 2, Alpha: 0.1, Gamma: 0.9, Lambda: 0.5,
+		EpsilonStart: 0.5, EpsilonEnd: 0.01, EpsilonDecay: 0.999,
+	}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Begin([]float64{nan, nan})
+	a.Step(1, []float64{inf, -inf})
+	a.Step(1, []float64{nan, 0.5})
+	if q := a.Q([]float64{nan, nan}, 0); math.IsNaN(q) {
+		t.Fatal("Q went NaN")
+	}
+}
+
+// denseLinearAgent is the reference for the oracle test below: the
+// original LinearAgent update, which sweeps a dense actions × features
+// trace table on every step.
+type denseLinearAgent struct {
+	coder     *TileCoder
+	cfg       LinearConfig
+	alpha     float64
+	weights   [][]float64 // [action][feature]
+	elig      [][]float64 // nil when λ = 0
+	r         *rng.RNG
+	steps     int
+	lastTiles []int
+	lastAct   int
+}
+
+func newDenseLinearAgent(coder *TileCoder, cfg LinearConfig, r *rng.RNG) *denseLinearAgent {
+	d := &denseLinearAgent{coder: coder, cfg: cfg, alpha: cfg.Alpha / float64(coder.Tilings()), r: r}
+	d.weights = make([][]float64, cfg.Actions)
+	for i := range d.weights {
+		d.weights[i] = make([]float64, coder.Features())
+	}
+	if cfg.Lambda > 0 {
+		d.elig = make([][]float64, cfg.Actions)
+		for i := range d.elig {
+			d.elig[i] = make([]float64, coder.Features())
+		}
+	}
+	return d
+}
+
+func (d *denseLinearAgent) q(tiles []int, act int) float64 {
+	sum := 0.0
+	for _, f := range tiles {
+		sum += d.weights[act][f]
+	}
+	return sum
+}
+
+func (d *denseLinearAgent) selectAction(tiles []int) int {
+	c := d.cfg
+	eps := c.EpsilonEnd + (c.EpsilonStart-c.EpsilonEnd)*math.Pow(c.EpsilonDecay, float64(d.steps))
+	if d.r.Float64() < eps {
+		return d.r.Intn(c.Actions)
+	}
+	best, bestV := 0, d.q(tiles, 0)
+	for act := 1; act < c.Actions; act++ {
+		if v := d.q(tiles, act); v > bestV {
+			best, bestV = act, v
+		}
+	}
+	return best
+}
+
+func (d *denseLinearAgent) begin(x []float64) int {
+	d.lastTiles = d.coder.ActiveTiles(x, nil)
+	d.lastAct = d.selectAction(d.lastTiles)
+	return d.lastAct
+}
+
+func (d *denseLinearAgent) step(reward float64, x []float64) int {
+	tiles := d.coder.ActiveTiles(x, nil)
+	nextAct := d.selectAction(tiles)
+	delta := reward + d.cfg.Gamma*d.q(tiles, nextAct) - d.q(d.lastTiles, d.lastAct)
+	if d.elig == nil {
+		for _, f := range d.lastTiles {
+			d.weights[d.lastAct][f] += d.alpha * delta
+		}
+	} else {
+		for _, f := range d.lastTiles {
+			d.elig[d.lastAct][f] = 1 // replacing traces
+		}
+		decay := d.cfg.Gamma * d.cfg.Lambda
+		for act := range d.elig {
+			for f, e := range d.elig[act] {
+				if e == 0 {
+					continue
+				}
+				d.weights[act][f] += d.alpha * delta * e
+				e *= decay
+				if e < 1e-8 {
+					e = 0
+				}
+				d.elig[act][f] = e
+			}
+		}
+	}
+	d.lastTiles, d.lastAct = tiles, nextAct
+	d.steps++
+	return nextAct
+}
+
+// TestLinearAgentTrailMatchesDense is the oracle for the sparse trail:
+// driven by the same seeded exploration stream, states and rewards, the
+// production agent and the dense reference must pick the same action and
+// hold bit-identical weights and traces after every step. States revisit
+// a handful of points so traces get refreshed in place, and the runs are
+// long enough that entries decay below 1e-8 and leave the trail.
+func TestLinearAgentTrailMatchesDense(t *testing.T) {
+	tc, err := NewTileCoder([]float64{0, 0}, []float64{1, 1}, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3000
+	points := [][]float64{{0.1, 0.2}, {0.12, 0.21}, {0.5, 0.5}, {0.9, 0.1}, {0.3, 0.8}}
+	for _, lambda := range []float64{0, 0.3, 0.7, 0.95} {
+		cfg := LinearConfig{
+			Actions: 3, Alpha: 0.3, Gamma: 0.9, Lambda: lambda,
+			EpsilonStart: 0.5, EpsilonEnd: 0.05, EpsilonDecay: 0.999,
+		}
+		a, err := NewLinearAgent(tc, cfg, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDenseLinearAgent(tc, cfg, rng.New(7))
+		maxTrail := 0
+		if decay := cfg.Gamma * lambda; decay > 0 {
+			maxTrail = tc.Tilings()*int(math.Ceil(math.Log(1e-8)/math.Log(decay))) + tc.Tilings()
+		}
+
+		env := rng.New(3)
+		state := func() []float64 {
+			if env.Float64() < 0.8 {
+				return points[env.Intn(len(points))]
+			}
+			return []float64{env.Float64(), env.Float64()}
+		}
+		x := state()
+		if got, want := a.Begin(x), d.begin(x); got != want {
+			t.Fatalf("λ=%g: Begin action %d, want %d", lambda, got, want)
+		}
+		touched := map[int]bool{}
+		for s := 0; s < steps; s++ {
+			reward := 2*env.Float64() - 1
+			x = state()
+			if s == steps/2 {
+				// A fresh episode keeps the traces, as the dense table did.
+				if got, want := a.Begin(x), d.begin(x); got != want {
+					t.Fatalf("λ=%g: re-Begin action %d, want %d", lambda, got, want)
+				}
+				continue
+			}
+			if got, want := a.Step(reward, x), d.step(reward, x); got != want {
+				t.Fatalf("λ=%g step %d: action %d, want %d", lambda, s, got, want)
+			}
+			for act := range d.weights {
+				for f, w := range d.weights[act] {
+					if got := a.weights[act*a.features+f]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("λ=%g step %d: w[%d][%d] = %v, want %v", lambda, s, act, f, got, w)
+					}
+				}
+			}
+			if len(a.traceIdx) > maxTrail {
+				t.Fatalf("λ=%g step %d: trail holds %d entries, bound %d", lambda, s, len(a.traceIdx), maxTrail)
+			}
+			if d.elig == nil {
+				continue
+			}
+			nonZero := 0
+			for act := range d.elig {
+				for _, e := range d.elig[act] {
+					if e != 0 {
+						nonZero++
+					}
+				}
+			}
+			if nonZero != len(a.traceIdx) {
+				t.Fatalf("λ=%g step %d: trail holds %d entries, dense table %d non-zero traces",
+					lambda, s, len(a.traceIdx), nonZero)
+			}
+			for j, k := range a.traceIdx {
+				touched[k] = true
+				if e := d.elig[k/a.features][k%a.features]; math.Float64bits(a.traceVal[j]) != math.Float64bits(e) {
+					t.Fatalf("λ=%g step %d: trace of key %d = %v, want %v", lambda, s, k, a.traceVal[j], e)
+				}
+			}
+		}
+		if lambda > 0 && len(touched) <= len(a.traceIdx) {
+			t.Fatalf("λ=%g: no trace was ever evicted (%d touched, %d live)", lambda, len(touched), len(a.traceIdx))
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ctrl"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
 )
@@ -20,10 +22,11 @@ func mallocsDuring(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// allocRun executes one sequential od-rl run with monitoring and learning
-// introspection attached — the full observability stack a production run
-// carries — and returns how many heap allocations it made.
-func allocRun(t *testing.T, measureS float64) uint64 {
+// allocRun executes one sequential run of the controller build makes,
+// with monitoring and learning introspection attached — the full
+// observability stack a production run carries — and returns how many heap
+// allocations it made.
+func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, error)) uint64 {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Cores = 16
@@ -38,7 +41,7 @@ func allocRun(t *testing.T, measureS float64) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController("od-rl", env)
+	c, err := build(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +81,35 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	opts.EpochS = 1e-3 // pin the epoch length the arithmetic below assumes
 	extraEpochs := int((longS - shortS) / opts.EpochS)
 
-	// Warm once so lazily-initialised package state (controller registry,
-	// observer metadata) is counted by neither measured run.
-	allocRun(t, shortS)
-
-	short := allocRun(t, shortS)
-	long := allocRun(t, longS)
-
-	var perEpoch float64
-	if long > short {
-		perEpoch = float64(long-short) / float64(extraEpochs)
+	cases := []struct {
+		name  string
+		build func(Env) (ctrl.Controller, error)
+	}{
+		{"od-rl", func(env Env) (ctrl.Controller, error) { return NewController("od-rl", env) }},
+		// The tile-coded linear SARSA(λ) controller of the F9 ablation.
+		{"od-rl-fa-lambda0.7", func(env Env) (ctrl.Controller, error) {
+			return core.New(env.Cores, env.VF, env.Power, core.Config{FunctionApprox: true, TraceLambda: 0.7})
+		}},
 	}
-	t.Logf("allocs: short=%d long=%d over %d extra epochs => %.4f allocs/epoch",
-		short, long, extraEpochs, perEpoch)
-	if perEpoch > 0.05 {
-		t.Fatalf("steady-state epoch loop allocates %.4f allocs/epoch (short=%d long=%d); want ~0",
-			perEpoch, short, long)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Warm once so lazily-initialised package state (controller
+			// registry, observer metadata) is counted by neither measured run.
+			allocRun(t, shortS, tc.build)
+
+			short := allocRun(t, shortS, tc.build)
+			long := allocRun(t, longS, tc.build)
+
+			var perEpoch float64
+			if long > short {
+				perEpoch = float64(long-short) / float64(extraEpochs)
+			}
+			t.Logf("allocs: short=%d long=%d over %d extra epochs => %.4f allocs/epoch",
+				short, long, extraEpochs, perEpoch)
+			if perEpoch > 0.05 {
+				t.Fatalf("steady-state epoch loop allocates %.4f allocs/epoch (short=%d long=%d); want ~0",
+					perEpoch, short, long)
+			}
+		})
 	}
 }
