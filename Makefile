@@ -34,6 +34,21 @@ LEARN_OVERHEAD_MAX ?= 5.0
 # single-CPU reference container); the gap to 3% absorbs scheduler noise.
 FLIGHT_OVERHEAD_MAX ?= 3.0
 
+# overhead_gate checks every "overhead_frac" in a bench report against a
+# ceiling in percent: $(1) names the gate in the printed lines, $(2) is the
+# report file, $(3) the ceiling. Prints one pass or fail line per case and
+# fails the recipe if any case exceeds the ceiling.
+define overhead_gate
+awk -v max="$(3)" ' \
+	/"overhead_frac"/ { \
+		v = $$0; sub(/.*"overhead_frac":[ \t]*/, "", v); sub(/[,}].*/, "", v); \
+		pct = 100 * v; \
+		if (pct > max + 0) { printf "$(1) overhead %.2f%% exceeds %.1f%% ceiling\n", pct, max; bad = 1 } \
+		else { printf "$(1) overhead %.2f%% (ceiling %.1f%%)\n", pct, max } \
+	} \
+	END { exit bad }' $(2)
+endef
+
 .PHONY: ci lint lint-allows vet build test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench bench-par bench-monitor bench-learn bench-flight bench-step bench-step-smoke obs-smoke fuzz-smoke cover
 
 ci: lint vet build test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench-monitor bench-learn bench-flight bench-step-smoke obs-smoke fuzz-smoke cover
@@ -138,14 +153,7 @@ cover:
 # of always-on post-mortem recording.
 bench-flight:
 	$(GO) run ./cmd/odrl-bench -bench-flight BENCH_flight.json
-	@awk -v max="$(FLIGHT_OVERHEAD_MAX)" ' \
-		/"overhead_frac"/ { \
-			v = $$0; sub(/.*"overhead_frac":[ \t]*/, "", v); sub(/[,}].*/, "", v); \
-			pct = 100 * v; \
-			if (pct > max + 0) { printf "flight overhead %.2f%% exceeds %.1f%% ceiling\n", pct, max; bad = 1 } \
-			else { printf "flight overhead %.2f%% (ceiling %.1f%%)\n", pct, max } \
-		} \
-		END { exit bad }' BENCH_flight.json
+	@$(call overhead_gate,flight,BENCH_flight.json,$(FLIGHT_OVERHEAD_MAX))
 
 # End-to-end observatory smoke: two short ledgered runs into a scratch
 # ledger, then pin the first-run baseline, regression-check the re-run and
@@ -190,25 +198,11 @@ bench-par:
 # fails if any case's epoch-loop overhead exceeds MONITOR_OVERHEAD_MAX %.
 bench-monitor:
 	$(GO) run ./cmd/odrl-bench -bench-monitor BENCH_monitor.json
-	@awk -v max="$(MONITOR_OVERHEAD_MAX)" ' \
-		/"overhead_frac"/ { \
-			v = $$0; sub(/.*"overhead_frac":[ \t]*/, "", v); sub(/[,}].*/, "", v); \
-			pct = 100 * v; \
-			if (pct > max + 0) { printf "monitor overhead %.2f%% exceeds %.1f%% ceiling\n", pct, max; bad = 1 } \
-			else { printf "monitor overhead %.2f%% (ceiling %.1f%%)\n", pct, max } \
-		} \
-		END { exit bad }' BENCH_monitor.json
+	@$(call overhead_gate,monitor,BENCH_monitor.json,$(MONITOR_OVERHEAD_MAX))
 
 # Learning-introspection-off-vs-on wall-clock comparison: writes
 # BENCH_learn.json and fails if any case's epoch-loop overhead exceeds
 # LEARN_OVERHEAD_MAX %.
 bench-learn:
 	$(GO) run ./cmd/odrl-bench -bench-learn BENCH_learn.json
-	@awk -v max="$(LEARN_OVERHEAD_MAX)" ' \
-		/"overhead_frac"/ { \
-			v = $$0; sub(/.*"overhead_frac":[ \t]*/, "", v); sub(/[,}].*/, "", v); \
-			pct = 100 * v; \
-			if (pct > max + 0) { printf "learn overhead %.2f%% exceeds %.1f%% ceiling\n", pct, max; bad = 1 } \
-			else { printf "learn overhead %.2f%% (ceiling %.1f%%)\n", pct, max } \
-		} \
-		END { exit bad }' BENCH_learn.json
+	@$(call overhead_gate,learn,BENCH_learn.json,$(LEARN_OVERHEAD_MAX))

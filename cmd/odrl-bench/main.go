@@ -25,12 +25,9 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/obs"
-	"repro/internal/obs/learn"
+	"repro/internal/instrument"
 	"repro/internal/obs/ledger"
-	"repro/internal/obs/monitor"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -41,10 +38,9 @@ func main() {
 type benchFlags struct {
 	experiment, cacheDir, faultSpec                        string
 	benchPar, benchMon, benchLearn, benchStep, benchFlight string
-	outDir, reportFile, traceEvents, debugAddr             string
-	alertRules, perfetto, artifacts                        string
-	quick, monitorOn, learnOn                              bool
-	cores, workers, traceEvery, snapEvery                  int
+	outDir, reportFile                                     string
+	quick                                                  bool
+	cores, workers                                         int
 	budget                                                 float64
 	seed                                                   uint64
 }
@@ -70,20 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchFlight = fs.String("bench-flight", "", "measure flight-recorder-off-vs-on wall clock and write a JSON report (e.g. BENCH_flight.json) to this file, then exit")
 		outDir      = fs.String("o", "", "also write one CSV per experiment into this directory")
 		reportFile  = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file and exit")
-		traceEvents = fs.String("trace-events", "", "write structured JSONL epoch events for every run to this file")
-		traceEvery  = fs.Int("trace-every", 100, "sample every Nth epoch in -trace-events output")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address for live profiling")
-		monitorOn   = fs.Bool("monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
-		alertRules  = fs.String("alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
-		perfetto    = fs.String("perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-		learnOn     = fs.Bool("learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
-		snapEvery   = fs.Int("snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
-		artifacts   = fs.String("artifacts", "", "record every run into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit (go tool pprof format)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on clean exit, after a final GC")
-		ledgerDir   = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger    = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
 	)
+	inst := instrument.Register(fs, 100)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -118,22 +104,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// Every execution mode — bench, report and tables — records a run; the
-	// bench modes additionally fold their BENCH_*.json into the record so
-	// odrl-obs can trend overheads across commits.
-	lcli := ledger.StartCLI("odrl-bench", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	code, runErr := benchMain(stdout, stderr, lcli, benchFlags{
+	f := benchFlags{
 		experiment: *experiment, cacheDir: *cacheDir, faultSpec: *faultSpec,
 		benchPar: *benchPar, benchMon: *benchMon, benchLearn: *benchLearn,
 		benchStep: *benchStep, benchFlight: *benchFlight,
-		outDir: *outDir, reportFile: *reportFile, traceEvents: *traceEvents,
-		debugAddr: *debugAddr, alertRules: *alertRules, perfetto: *perfetto,
-		artifacts: *artifacts, quick: *quick, monitorOn: *monitorOn,
-		learnOn: *learnOn, cores: *cores, workers: *workers,
-		traceEvery: *traceEvery, snapEvery: *snapEvery, budget: *budget,
-		seed: *seed,
-	})
-	lcli.Finish(runErr)
+		outDir: *outDir, reportFile: *reportFile, quick: *quick,
+		cores: *cores, workers: *workers, budget: *budget, seed: *seed,
+	}
+	// Every execution mode records a run. The bench modes open only the
+	// ledger session, never the sim hooks: their off legs must stay
+	// recorder-free or the comparison measures the recorder against itself.
+	// They also fold their BENCH_*.json into the record so odrl-obs can
+	// trend overheads across commits.
+	var (
+		code   int
+		runErr error
+	)
+	if f.benchPar != "" || f.benchStep != "" || f.benchMon != "" || f.benchLearn != "" || f.benchFlight != "" {
+		lcli := inst.Ledger.Start("odrl-bench", args)
+		code, runErr = benchMain(stdout, lcli, f)
+		lcli.Finish(runErr)
+	} else {
+		// Experiments assemble runs internally, so the instruments hook in
+		// through the harness-level defaults the session installs.
+		session, err := instrument.Start("odrl-bench", args, inst, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "odrl-bench:", err)
+			return instrument.ExitCode(err)
+		}
+		code, runErr = tablesMain(stdout, stderr, session.Ledger, f)
+		session.Close(runErr)
+	}
 	if runErr != nil {
 		fmt.Fprintln(stderr, "odrl-bench:", runErr)
 	}
@@ -159,9 +160,9 @@ func emitBench(lcli *ledger.CLI, path, kind string, rep benchReport, points []le
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// benchMain dispatches one invocation. The int is the process exit code;
-// a non-nil error is both printed and recorded in the run ledger.
-func benchMain(stdout, stderr io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
+// benchMain runs the one selected bench mode. The int is the process exit
+// code; a non-nil error is both printed and recorded in the run ledger.
+func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 	if f.benchPar != "" {
 		rep, err := experiments.BenchPar(f.workers)
 		if err != nil {
@@ -246,60 +247,30 @@ func benchMain(stdout, stderr io.Writer, lcli *ledger.CLI, f benchFlags) (int, e
 		return 0, nil
 	}
 
-	if f.benchFlight != "" {
-		rep, err := experiments.BenchFlight()
-		if err != nil {
-			return 1, err
-		}
-		var pts []ledger.BenchPoint
-		for _, c := range rep.Cases {
-			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "overhead_frac", Value: c.OverheadFrac})
-		}
-		if err := emitBench(lcli, f.benchFlight, "flight", rep, pts); err != nil {
-			return 1, err
-		}
-		for _, c := range rep.Cases {
-			fmt.Fprintf(stdout, "%-32s epochs=%d  off %.2fs  on %.2fs  overhead %.2f%%\n",
-				c.Name, c.Epochs, c.OffS, c.OnS, 100*c.OverheadFrac)
-		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchFlight, rep.HostCPUs)
-		return 0, nil
-	}
-
-	tracePath, traceStride, err := learn.ResolveTrace(f.traceEvents, f.traceEvery, f.artifacts)
-	if err != nil {
-		return 2, err
-	}
-	ocli, err := obs.StartCLI(tracePath, traceStride, f.debugAddr)
+	// Only -bench-flight is left.
+	rep, err := experiments.BenchFlight()
 	if err != nil {
 		return 1, err
 	}
-	defer ocli.Close()
-	// Experiments assemble runs internally, so the tracer (and the ledger's
-	// flight recorder around it) hooks in through the harness-level default
-	// observer. Bench modes never reach this point: their off legs must stay
-	// recorder-free or the comparison measures the recorder against itself.
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = lcli.WrapObserver(ocli.Observer())
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
-	mcli, err := monitor.StartCLI(ocli, f.monitorOn, f.alertRules, f.perfetto)
-	if err != nil {
+	var pts []ledger.BenchPoint
+	for _, c := range rep.Cases {
+		pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "overhead_frac", Value: c.OverheadFrac})
+	}
+	if err := emitBench(lcli, f.benchFlight, "flight", rep, pts); err != nil {
 		return 1, err
 	}
-	defer mcli.Close(os.Stderr)
-	if mcli != nil {
-		sim.DefaultMonitor = mcli.Monitor
+	for _, c := range rep.Cases {
+		fmt.Fprintf(stdout, "%-32s epochs=%d  off %.2fs  on %.2fs  overhead %.2f%%\n",
+			c.Name, c.Epochs, c.OffS, c.OnS, 100*c.OverheadFrac)
 	}
-	lrncli, err := learn.StartCLI(ocli, f.learnOn, f.snapEvery, f.artifacts)
-	if err != nil {
-		return 2, err
-	}
-	defer lrncli.Close(os.Stderr)
-	if lrncli != nil {
-		sim.DefaultLearn = lrncli.Layer
-	}
+	fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchFlight, rep.HostCPUs)
+	return 0, nil
+}
 
+// tablesMain runs the report or table modes under an instrumentation
+// session. The int is the process exit code; a non-nil error is both
+// printed and recorded in the run ledger.
+func tablesMain(stdout, stderr io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 	if f.outDir != "" {
 		if err := os.MkdirAll(f.outDir, 0o755); err != nil {
 			return 1, err

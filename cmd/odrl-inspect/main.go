@@ -49,11 +49,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-inspect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runID     = fs.Int64("run", 0, "trace run ID to inspect when a directory holds several (default: the first recorded)")
-		width     = fs.Int("width", 60, "learning-curve sparkline width in characters")
-		ledgerDir = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record")
-		noLedger  = fs.Bool("no-ledger", false, "disable the run ledger")
+		runID = fs.Int64("run", 0, "trace run ID to inspect when a directory holds several (default: the first recorded)")
+		width = fs.Int("width", 60, "learning-curve sparkline width in characters")
 	)
+	ledgerFlags := ledger.RegisterFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: odrl-inspect [flags] RUNDIR [RUNDIR2]")
 		fs.PrintDefaults()
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	lcli := ledger.StartCLI("odrl-inspect", args, ledger.ResolveDir(*ledgerDir), *noLedger)
+	lcli := ledgerFlags.Start("odrl-inspect", args)
 	runs := make([]*runData, len(dirs))
 	for i, dir := range dirs {
 		rd, err := loadRun(dir, *runID)

@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trend     = fs.String("trend", "", "print one metric's value across matching records, oldest first")
 		pin       = fs.String("pin", "", "pin a record ('latest' or an ID) as the regression baseline")
 		check     = fs.Bool("check", false, "compare the latest matching run against the pinned baseline; exit 1 on regression")
-		ledgerDir = fs.String("ledger", "", "ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+")")
 		tool      = fs.String("tool", "", "filter: records written by this tool")
 		spec      = fs.String("spec", "", "filter: records whose scenario spec hash starts with this prefix")
 		experi    = fs.String("experiment", "", "filter: records that ran this experiment ID (T1, F4, …)")
@@ -61,6 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threshold = fs.Float64("threshold", 0.05, "relative change beyond which a judged metric regresses")
 		wallClock = fs.Bool("wallclock", false, "also judge host-dependent metrics ("+ledger.JudgedMetricNames()+" minus the deterministic set)")
 	)
+	ledgerDir := ledger.RegisterDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

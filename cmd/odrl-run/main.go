@@ -19,9 +19,9 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/instrument"
 	"repro/internal/obs/ledger"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -39,17 +39,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	var (
-		builtin   = fs.String("builtin", "", "run the checked-in spec for an experiment ID (T1, T2, F1..F19) instead of a file")
-		list      = fs.Bool("list", false, "list the checked-in experiment specs and exit")
-		dryRun    = fs.Bool("dry-run", false, "validate, print the canonical spec and its content hash, and exit without running")
-		cacheDir  = fs.String("cache", "", "content-addressed result cache directory: identical specs re-use stored tables ('' = no cache)")
-		csvOut    = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		outFile   = fs.String("o", "", "write the table to this file instead of stdout")
-		quick     = fs.Bool("quick", false, "shrink runs for a fast smoke pass (overrides the spec's quick field)")
-		workers   = fs.Int("j", -1, "override the spec's worker count (0 = one per CPU, 1 = sequential); results and cache keys are identical for any value")
-		ledgerDir = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger  = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
+		builtin  = fs.String("builtin", "", "run the checked-in spec for an experiment ID (T1, T2, F1..F19) instead of a file")
+		list     = fs.Bool("list", false, "list the checked-in experiment specs and exit")
+		dryRun   = fs.Bool("dry-run", false, "validate, print the canonical spec and its content hash, and exit without running")
+		cacheDir = fs.String("cache", "", "content-addressed result cache directory: identical specs re-use stored tables ('' = no cache)")
+		csvOut   = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		outFile  = fs.String("o", "", "write the table to this file instead of stdout")
+		quick    = fs.Bool("quick", false, "shrink runs for a fast smoke pass (overrides the spec's quick field)")
+		workers  = fs.Int("j", -1, "override the spec's worker count (0 = one per CPU, 1 = sequential); results and cache keys are identical for any value")
 	)
+	inst := &instrument.Flags{Ledger: ledger.RegisterFlags(fs)}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -148,12 +147,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The ledger session starts only once a real execution begins (usage
 	// errors, -list and -dry-run leave no run record) and closes on every
-	// path through Finish, so failed runs are recorded as failed.
-	lcli := ledger.StartCLI("odrl-run", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = lcli.WrapObserver(prevObs)
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
+	// path through Close, so failed runs are recorded as failed.
+	session, err := instrument.Start("odrl-run", args, inst, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "odrl-run:", err)
+		return instrument.ExitCode(err)
+	}
 	runErr := func() error {
 		engine := &scenario.Engine{}
 		if *cacheDir != "" {
@@ -167,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		lcli.RecordScenario(spec.Experiment, info.Hash, scenario.EngineVersion, info.CacheHit)
+		session.Ledger.RecordScenario(spec.Experiment, info.Hash, scenario.EngineVersion, info.CacheHit)
 		if info.CacheHit {
 			fmt.Fprintf(stderr, "odrl-run: cache hit %s\n", info.Hash)
 		}
@@ -187,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_, err = tbl.WriteTo(w)
 		return err
 	}()
-	lcli.Finish(runErr)
+	session.Close(runErr)
 	if runErr != nil {
 		fmt.Fprintln(stderr, "odrl-run:", runErr)
 		return 1

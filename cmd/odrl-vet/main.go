@@ -36,15 +36,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		sel       = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		asJSON    = fs.Bool("json", false, "emit diagnostics and allows as JSON")
-		allows    = fs.Bool("allows", false, "list //odrl:allow suppressions (the audit ledger) instead of diagnostics")
-		list      = fs.Bool("list", false, "list available analyzers and exit")
-		dir       = fs.String("dir", ".", "module directory to analyze (go list runs here)")
-		maxDiags  = fs.Int("max", 0, "print at most this many diagnostics (0 = no limit; exit code still reflects the full count)")
-		ledgerDir = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record")
-		noLedger  = fs.Bool("no-ledger", false, "disable the run ledger")
+		sel      = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		asJSON   = fs.Bool("json", false, "emit diagnostics and allows as JSON")
+		allows   = fs.Bool("allows", false, "list //odrl:allow suppressions (the audit ledger) instead of diagnostics")
+		list     = fs.Bool("list", false, "list available analyzers and exit")
+		dir      = fs.String("dir", ".", "module directory to analyze (go list runs here)")
+		maxDiags = fs.Int("max", 0, "print at most this many diagnostics (0 = no limit; exit code still reflects the full count)")
 	)
+	ledgerFlags := ledger.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// A vet pass is a run worth remembering: the record's status tells CI
 	// archaeology whether this tree was clean at this commit.
-	lcli := ledger.StartCLI("odrl-vet", args, ledger.ResolveDir(*ledgerDir), *noLedger)
+	lcli := ledgerFlags.Start("odrl-vet", args)
 
 	loader := analysis.NewLoader(*dir)
 	pkgs, err := loader.Load(patterns...)

@@ -19,10 +19,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/instrument"
 	"repro/internal/obs"
-	"repro/internal/obs/learn"
-	"repro/internal/obs/ledger"
-	"repro/internal/obs/monitor"
 	"repro/internal/plot"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -54,18 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		writeSpec   = fs.Bool("write-spec", false, "print the canonical scenario spec equivalent to this invocation (runnable with odrl-run) and exit")
 		plotTrace   = fs.Bool("plot", false, "render each controller's power trace as an ASCII chart")
 		faultSpec   = fs.String("fault-plan", "", "inject faults: an intensity in [0,1] for the canonical plan, or a plan JSON file path (see internal/fault)")
-		traceEvents = fs.String("trace-events", "", "write structured JSONL epoch events to this file ('-' for stdout)")
-		traceEvery  = fs.Int("trace-every", 1, "sample every Nth epoch in -trace-events output")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address (e.g. localhost:6060)")
-		monitorOn   = fs.Bool("monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
-		alertRules  = fs.String("alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
-		perfetto    = fs.String("perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
-		learnOn     = fs.Bool("learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
-		snapEvery   = fs.Int("snapshot-every", 0, "write a content-addressed policy snapshot every N control epochs (0 = only at run end; requires -artifacts)")
-		artifacts   = fs.String("artifacts", "", "record the run into this directory: full JSONL trace plus policy snapshots, the layout odrl-inspect reads (implies -learn)")
-		ledgerDir   = fs.String("ledger", "", "run-ledger directory (default $ODRL_LEDGER or "+ledger.DefaultDir+"): append a queryable run record and arm the flight recorder")
-		noLedger    = fs.Bool("no-ledger", false, "disable the run ledger and flight recorder")
 	)
+	inst := instrument.Register(fs, 1)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -114,53 +102,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	tracePath, traceStride, err := learn.ResolveTrace(*traceEvents, *traceEvery, *artifacts)
+	// The session observes every run built below (flag path and -config
+	// path alike) as monitor -> flight recorder -> tracer.
+	session, err := instrument.Start("odrl", args, inst, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "odrl:", err)
-		return 2
+		return instrument.ExitCode(err)
 	}
-	ocli, err := obs.StartCLI(tracePath, traceStride, *debugAddr)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl:", err)
-		return 1
-	}
-	defer ocli.Close()
-	mcli, err := monitor.StartCLI(ocli, *monitorOn, *alertRules, *perfetto)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl:", err)
-		return 1
-	}
-	defer mcli.Close(os.Stderr)
-	if mcli != nil {
-		sim.DefaultMonitor = mcli.Monitor
-	}
-	lrncli, err := learn.StartCLI(ocli, *learnOn, *snapEvery, *artifacts)
-	if err != nil {
-		fmt.Fprintln(stderr, "odrl:", err)
-		return 2
-	}
-	defer lrncli.Close(os.Stderr)
-	if lrncli != nil {
-		sim.DefaultLearn = lrncli.Layer
-	}
-	// The run ledger wraps the flight recorder around the tracer chain:
-	// monitor -> flight -> tracer, with phase spans teed into the
-	// recorder's post-mortem ring. Observe runs built anywhere below (flag
-	// path and -config path alike).
-	lcli := ledger.StartCLI("odrl", args, ledger.ResolveDir(*ledgerDir), *noLedger)
-	prevObs, prevSpan := sim.DefaultObserver, sim.DefaultSpanSink
-	sim.DefaultObserver = lcli.WrapObserver(ocli.Observer())
-	sim.DefaultSpanSink = lcli.SpanSink()
-	defer func() { sim.DefaultObserver, sim.DefaultSpanSink = prevObs, prevSpan }()
-
-	runErr := runMain(fs, stdout, stderr, ocli, mainFlags{
+	runErr := runMain(fs, stdout, stderr, session, mainFlags{
 		controllers: *controllers, cores: *cores, workload: *workloadF,
 		budget: *budget, warmup: *warmup, measure: *measure, seed: *seed,
 		noise: *noise, thermalOff: *thermalOff, csvOut: *csvOut,
 		traceFile: *traceFile, configFile: *configFile, plotTrace: *plotTrace,
 		faultSpec: *faultSpec,
 	})
-	lcli.Finish(runErr)
+	session.Close(runErr)
 	if runErr != nil {
 		fmt.Fprintln(stderr, "odrl:", runErr)
 		return 1
@@ -177,7 +133,7 @@ type mainFlags struct {
 	thermalOff, csvOut, plotTrace                           bool
 }
 
-func runMain(fs *flag.FlagSet, stdout, stderr io.Writer, ocli *obs.CLI, f mainFlags) error {
+func runMain(fs *flag.FlagSet, stdout, stderr io.Writer, session *instrument.Session, f mainFlags) error {
 	if f.configFile != "" {
 		cf, err := os.Open(f.configFile)
 		if err != nil {
@@ -251,7 +207,7 @@ func runMain(fs *flag.FlagSet, stdout, stderr io.Writer, ocli *obs.CLI, f mainFl
 		if err := sim.WritePhaseTable(stdout, results); err != nil {
 			return err
 		}
-		if err := ocli.WriteDecideQuantiles(stdout); err != nil {
+		if err := session.WriteDecideQuantiles(stdout); err != nil {
 			return err
 		}
 	}

@@ -2,73 +2,8 @@ package learn
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-
-	"repro/internal/obs"
 )
-
-// CLI owns the learning-introspection resources a command wires up from its
-// flags (-learn, -snapshot-every, -artifacts).
-type CLI struct {
-	Layer *Layer
-}
-
-// StartCLI builds the standard command wiring. Introspection is enabled
-// when -learn is set or an artifact directory is given; otherwise StartCLI
-// returns nil and runs carry zero introspection cost. When ocli carries a
-// debug server, /debug/learn serves live JSON summaries (with learning
-// curves) of every run.
-func StartCLI(ocli *obs.CLI, enabled bool, snapshotEvery int, artifactDir string) (*CLI, error) {
-	if !enabled && artifactDir == "" {
-		if snapshotEvery > 0 {
-			return nil, fmt.Errorf("learn: -snapshot-every needs -artifacts (snapshots are files)")
-		}
-		return nil, nil
-	}
-	if snapshotEvery < 0 {
-		return nil, fmt.Errorf("learn: negative snapshot cadence %d", snapshotEvery)
-	}
-	if snapshotEvery > 0 && artifactDir == "" {
-		return nil, fmt.Errorf("learn: -snapshot-every needs -artifacts (snapshots are files)")
-	}
-	var reg *obs.Registry
-	if ocli != nil {
-		reg = ocli.Registry
-	}
-	l := New(Options{
-		SnapshotEvery: snapshotEvery,
-		ArtifactDir:   artifactDir,
-		Registry:      reg,
-	})
-	if ocli != nil && ocli.Debug != nil {
-		ocli.Debug.Handle("/debug/learn", DebugHandler(l))
-	}
-	return &CLI{Layer: l}, nil
-}
-
-// ResolveTrace decides where a command's JSONL trace goes. Without an
-// artifact directory the explicit -trace-events flags pass through
-// untouched. With one, the directory is created and the trace is recorded
-// inside it at every epoch — the complete-run layout cmd/odrl-inspect
-// consumes — and an explicit -trace-events is rejected rather than
-// silently splitting the record across two destinations.
-func ResolveTrace(traceEvents string, traceEvery int, artifactDir string) (string, int, error) {
-	if artifactDir == "" {
-		return traceEvents, traceEvery, nil
-	}
-	if traceEvents != "" {
-		return "", 0, fmt.Errorf("learn: -artifacts records its own trace (%s); drop -trace-events",
-			filepath.Join(artifactDir, "trace.jsonl"))
-	}
-	if err := os.MkdirAll(artifactDir, 0o755); err != nil {
-		return "", 0, fmt.Errorf("learn: artifacts: %w", err)
-	}
-	return filepath.Join(artifactDir, "trace.jsonl"), 1, nil
-}
 
 // DebugHandler serves the layer's run summaries as JSON.
 func DebugHandler(l *Layer) http.Handler {
@@ -85,33 +20,4 @@ func DebugHandler(l *Layer) http.Handler {
 			Runs []Summary `json:"runs"`
 		}{Runs: out})
 	})
-}
-
-// Close renders the end-of-run convergence summary to w (commonly stderr,
-// keeping stdout tables clean) and surfaces any artifact-writing error.
-// Nil-safe so callers can defer it unconditionally.
-func (c *CLI) Close(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	var first error
-	for _, r := range c.Layer.Runs() {
-		s := r.Summarize(false)
-		if s.Epochs == 0 {
-			continue
-		}
-		if w != nil {
-			fmt.Fprintf(w, "learn: run %d (%s): %d/%d agents converged", //nolint:errcheck // best-effort summary
-				s.Run, s.Meta.Controller, s.Converged, s.LiveAgents)
-			if s.Converged > 0 {
-				fmt.Fprintf(w, " (median %d epochs)", s.EpochsToConvergeP50) //nolint:errcheck // best-effort summary
-			}
-			fmt.Fprintf(w, ", td_ema %.4f, churn %.4f, coverage %.2f\n", //nolint:errcheck // best-effort summary
-				s.TDErrEMA, s.Churn, s.Coverage)
-		}
-		if err := r.Err(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"sync"
@@ -13,10 +14,10 @@ import (
 // CLI is one command's ledger session: it owns the run record being
 // accumulated, the flight recorder whose bundles land in the run's
 // artifact directory, and the final append. Every cmd/ binary builds one
-// at startup (StartCLI) and finishes it on every exit path (Finish).
+// at startup (Flags.Start) and finishes it on every exit path (Finish).
 //
 // A nil *CLI is valid and inert — the -no-ledger path costs a handful of
-// nil checks, mirroring the monitor/learn CLI glue idiom.
+// nil checks.
 type CLI struct {
 	led   *Ledger
 	rec   *flight.Recorder
@@ -25,6 +26,30 @@ type CLI struct {
 	mu       sync.Mutex
 	record   Record
 	finished bool
+}
+
+// Flags is the -ledger/-no-ledger pair every record-writing command takes.
+type Flags struct {
+	Dir      *string
+	Disabled bool
+}
+
+// RegisterDirFlag declares -ledger alone, for commands that query the
+// ledger rather than append to it.
+func RegisterDirFlag(fs *flag.FlagSet) *string {
+	return fs.String("ledger", "", "run-ledger directory (default $"+EnvDir+" or "+DefaultDir+")")
+}
+
+// RegisterFlags declares -ledger and -no-ledger on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{Dir: RegisterDirFlag(fs)}
+	fs.BoolVar(&f.Disabled, "no-ledger", false, "disable the run ledger: no run record, no flight recorder")
+	return f
+}
+
+// Start opens the session the parsed flags select (nil when disabled).
+func (f *Flags) Start(tool string, args []string) *CLI {
+	return StartCLI(tool, args, ResolveDir(*f.Dir), f.Disabled)
 }
 
 // StartCLI opens the ledger for one command run and returns the session,
