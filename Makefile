@@ -124,13 +124,15 @@ bench-obs:
 bench:
 	$(GO) test -run=- -bench=. -benchtime=1s ./internal/obs/
 
-# Short fuzz pass over every decoder that accepts external bytes: workload
-# traces, obs JSONL records, fault plans. Go runs one fuzz target per
+# Short fuzz pass over every decoder that accepts external bytes (workload
+# traces, obs JSONL records, fault plans) and over the JSONL trace record
+# encoder against json.Marshal. Go runs one fuzz target per
 # invocation, so each gets its own anchored pattern.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSON$$' -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRecords$$' -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -run='^$$' -fuzz='^FuzzTraceRecordEncoding$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz='^FuzzRulesJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs/monitor/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs/learn/

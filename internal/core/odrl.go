@@ -536,11 +536,10 @@ func (c *Controller) Decide(tel *manycore.Telemetry, budgetW float64, out []int)
 	// layer is embarrassingly parallel; only reallocation is global). The
 	// phase span records the wall-clock of the whole sharded section.
 	localStart := time.Now() //odrl:allow wallclock phase-span telemetry probe; never feeds control decisions
-	// Warm the shared ε memo with the lockstep step count before any
-	// worker reads it: live agents sit at epoch−1 steps (Begin consumes
-	// the first epoch without learning). Agents behind a watchdog hold
-	// miss the cache and compute inline, so the warm value only has to
-	// match the lockstep majority.
+	// Extend the shared ε table before any worker reads it: live agents
+	// sit at epoch−1 steps (Begin consumes the first epoch without
+	// learning), and emitLearn reads ε one step later. Agents held behind
+	// a watchdog lag the lockstep count and read earlier entries.
 	s := c.epoch - 1
 	if s < 0 {
 		s = 0

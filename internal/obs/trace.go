@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -119,18 +121,16 @@ type Record struct {
 	Sampled int `json:"sampled,omitempty"`
 }
 
-// wire shapes for emission: embedding inlines the payload fields so each
-// line is one flat JSON object.
+// wire shapes for the rare record types, emitted through json.Marshal:
+// embedding inlines the payload fields so each line is one flat JSON
+// object. The per-epoch epoch and learn records, and the converged
+// records of a learning transient, have hand-written encoders
+// (appendEpochRec, appendLearnRec, appendConvergedRec) that produce the
+// bytes json.Marshal would for the same embedding.
 type runStartRec struct {
 	Type string `json:"type"`
 	Run  int64  `json:"run"`
 	RunMeta
-}
-
-type epochRec struct {
-	Type string `json:"type"`
-	Run  int64  `json:"run"`
-	EpochEvent
 }
 
 type faultRec struct {
@@ -143,18 +143,6 @@ type alertRec struct {
 	Type string `json:"type"`
 	Run  int64  `json:"run"`
 	AlertEvent
-}
-
-type learnRec struct {
-	Type string `json:"type"`
-	Run  int64  `json:"run"`
-	LearnEvent
-}
-
-type convergedRec struct {
-	Type string `json:"type"`
-	Run  int64  `json:"run"`
-	ConvergedEvent
 }
 
 type runEndRec struct {
@@ -262,6 +250,9 @@ type Tracer struct {
 	sink  Sink
 	every int
 	runs  atomic.Int64
+	// line is the hand-written encoders' output buffer, reused under mu
+	// (the Sink contract forbids retaining it).
+	line []byte
 
 	runCtr     *Counter
 	sampleCtr  *Counter
@@ -313,6 +304,19 @@ func (t *Tracer) emit(rec any) {
 	t.sink.Emit(b) //nolint:errcheck // tracing is best-effort; sinks surface errors on Close
 }
 
+// emitLine keeps line as the tracer's reusable line buffer and emits it,
+// unless the encoder dropped the record (ok false: a NaN or ±Inf, which
+// json.Marshal's error drops on the emit path). Call with t.mu held; the
+// per-epoch records are encoded into t.line under the same lock.
+//
+//odrl:hotpath
+func (t *Tracer) emitLine(line []byte, ok bool) {
+	t.line = line
+	if ok {
+		t.sink.Emit(line) //nolint:errcheck // tracing is best-effort; sinks surface errors on Close
+	}
+}
+
 // runTracer tracks one run's stream. The counters are atomic so a single
 // run's observer tolerates concurrent emitters (e.g. a sharded stepping
 // loop reporting from worker goroutines), matching the Tracer's own
@@ -330,6 +334,8 @@ func (r *runTracer) ShouldSample(epoch int) bool {
 }
 
 // ObserveEpoch implements RunObserver.
+//
+//odrl:hotpath
 func (r *runTracer) ObserveEpoch(ev *EpochEvent) {
 	last := int64(ev.Epoch + 1)
 	for {
@@ -345,7 +351,10 @@ func (r *runTracer) ObserveEpoch(ev *EpochEvent) {
 	if r.t.decideHist != nil {
 		r.t.decideHist.Observe(float64(ev.DecideNs))
 	}
-	r.t.emit(epochRec{Type: "epoch", Run: r.id, EpochEvent: *ev})
+	t := r.t
+	t.mu.Lock()
+	t.emitLine(appendEpochRec(t.line[:0], r.id, ev))
+	t.mu.Unlock()
 }
 
 // ObserveFault implements FaultObserver.
@@ -360,13 +369,25 @@ func (r *runTracer) ObserveAlert(ev *AlertEvent) {
 
 // ObserveLearn implements LearnObserver. Learn events follow the epoch
 // stream's sampling, so no extra gate is needed here.
+//
+//odrl:hotpath
 func (r *runTracer) ObserveLearn(ev *LearnEvent) {
-	r.t.emit(learnRec{Type: "learn", Run: r.id, LearnEvent: *ev})
+	t := r.t
+	t.mu.Lock()
+	t.emitLine(appendLearnRec(t.line[:0], r.id, ev))
+	t.mu.Unlock()
 }
 
-// ObserveConverged implements LearnObserver.
+// ObserveConverged implements LearnObserver. Converged events are rare
+// but cluster in a learning transient, so they share the allocation-free
+// encoder path.
+//
+//odrl:hotpath
 func (r *runTracer) ObserveConverged(ev *ConvergedEvent) {
-	r.t.emit(convergedRec{Type: "converged", Run: r.id, ConvergedEvent: *ev})
+	t := r.t
+	t.mu.Lock()
+	t.emitLine(appendConvergedRec(t.line[:0], r.id, ev))
+	t.mu.Unlock()
 }
 
 // End implements RunObserver.
@@ -438,4 +459,163 @@ func ReadRecords(rd io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// appendEpochRec appends the epoch record of run as the exact bytes
+// json.Marshal gives for the flat object {"type":"epoch","run":run,…ev}:
+// EpochEvent's field order, omitempty rules and float formatting. ok is
+// false when a float field is NaN or ±Inf, which json.Marshal rejects.
+//
+//odrl:hotpath
+func appendEpochRec(b []byte, run int64, ev *EpochEvent) (_ []byte, ok bool) {
+	e := lineEncoder{b: b}
+	e.raw(`{"type":"epoch","run":`)
+	e.int(run)
+	e.raw(`,"epoch":`)
+	e.int(int64(ev.Epoch))
+	e.float(`,"time_s":`, ev.TimeS)
+	e.float(`,"power_w":`, ev.PowerW)
+	e.float(`,"budget_w":`, ev.BudgetW)
+	e.float(`,"overshoot_w":`, ev.OvershootW)
+	e.float(`,"max_temp_k":`, ev.MaxTempK)
+	e.floats(`,"island_power_w":`, ev.IslandPowerW)
+	if len(ev.LevelHist) > 0 {
+		e.raw(`,"level_hist":[`)
+		for i, v := range ev.LevelHist {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.int(int64(v))
+		}
+		e.raw("]")
+	}
+	e.raw(`,"decide_ns":`)
+	e.int(ev.DecideNs)
+	e.floatOmit(`,"ips":`, ev.IPS)
+	e.floatOmit(`,"learn_td_ema":`, ev.LearnTDEMA)
+	e.floatOmit(`,"learn_churn":`, ev.LearnChurn)
+	e.floatOmit(`,"learn_converged_frac":`, ev.LearnConvergedFrac)
+	e.floatOmit(`,"learn_epsilon":`, ev.LearnEpsilon)
+	e.raw("}")
+	return e.b, !e.bad
+}
+
+// appendLearnRec is appendEpochRec for {"type":"learn","run":run,…ev}.
+//
+//odrl:hotpath
+func appendLearnRec(b []byte, run int64, ev *LearnEvent) (_ []byte, ok bool) {
+	e := lineEncoder{b: b}
+	e.raw(`{"type":"learn","run":`)
+	e.int(run)
+	e.raw(`,"epoch":`)
+	e.int(int64(ev.Epoch))
+	e.float(`,"time_s":`, ev.TimeS)
+	e.float(`,"td_ema":`, ev.TDErrEMA)
+	e.float(`,"td_p99":`, ev.TDErrP99)
+	e.float(`,"epsilon":`, ev.Epsilon)
+	e.float(`,"churn":`, ev.Churn)
+	e.float(`,"greedy_frac":`, ev.GreedyFrac)
+	e.float(`,"coverage":`, ev.Coverage)
+	e.float(`,"q_spread":`, ev.QSpread)
+	e.float(`,"converged_frac":`, ev.ConvergedFrac)
+	e.floats(`,"island_td_ema":`, ev.IslandTDEMA)
+	e.raw("}")
+	return e.b, !e.bad
+}
+
+// appendConvergedRec is appendEpochRec for
+// {"type":"converged","run":run,…ev}.
+//
+//odrl:hotpath
+func appendConvergedRec(b []byte, run int64, ev *ConvergedEvent) (_ []byte, ok bool) {
+	e := lineEncoder{b: b}
+	e.raw(`{"type":"converged","run":`)
+	e.int(run)
+	e.raw(`,"epoch":`)
+	e.int(int64(ev.Epoch))
+	e.float(`,"time_s":`, ev.TimeS)
+	e.raw(`,"core":`)
+	e.int(int64(ev.Core))
+	e.raw(`,"epochs_to_converge":`)
+	e.int(int64(ev.EpochsToConverge))
+	e.float(`,"td_ema":`, ev.TDErrEMA)
+	e.float(`,"epsilon":`, ev.Epsilon)
+	e.raw("}")
+	return e.b, !e.bad
+}
+
+// lineEncoder appends one flat JSON object field by field. Keys are passed
+// pre-quoted with their leading comma and colon.
+type lineEncoder struct {
+	b []byte
+	// bad records a NaN or ±Inf: json.Marshal fails the whole record.
+	bad bool
+}
+
+//odrl:hotpath
+func (e *lineEncoder) raw(s string) { e.b = append(e.b, s...) }
+
+//odrl:hotpath
+func (e *lineEncoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
+
+// float appends key and v, the form of a float64 field without omitempty.
+//
+//odrl:hotpath
+func (e *lineEncoder) float(key string, v float64) {
+	e.raw(key)
+	e.value(v)
+}
+
+// floatOmit appends key and v unless v is zero (either sign), as
+// omitempty does.
+//
+//odrl:hotpath
+func (e *lineEncoder) floatOmit(key string, v float64) {
+	if v != 0 {
+		e.float(key, v)
+	}
+}
+
+// floats appends key and vs as an array unless vs is empty, as omitempty
+// does for a nil or empty slice.
+//
+//odrl:hotpath
+func (e *lineEncoder) floats(key string, vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	e.raw(key)
+	e.raw("[")
+	for i, v := range vs {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.value(v)
+	}
+	e.raw("]")
+}
+
+// value appends v as encoding/json formats a float64: the shortest
+// round-trip digits, in 'f' form unless |v| < 1e-6 or |v| ≥ 1e21, where
+// it switches to 'e' form with a one-digit negative exponent written as
+// e-9 rather than e-09.
+//
+//odrl:hotpath
+func (e *lineEncoder) value(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		e.bad = true
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(e.b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	e.b = b
 }

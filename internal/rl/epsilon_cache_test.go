@@ -48,9 +48,60 @@ func TestEpsilonCacheBitEqual(t *testing.T) {
 	}
 }
 
-// TestEpsilonCacheMissComputesInline: an agent that fell out of lockstep
-// (cache warmed for a different step count) must compute its own epsilon,
-// bit-equal to the schedule, and must not write to the shared cache.
+// scheduleEps is the exploration schedule as Agent.Epsilon computes it.
+func scheduleEps(cfg Config, steps int) float64 {
+	return cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, float64(steps))
+}
+
+// TestEpsilonCacheLaggingAgentReadsTable: an agent behind the warmed step
+// count (held by a watchdog, or restarted) is served from the table, and
+// every table entry is bit-equal to the inline math.Pow expression.
+func TestEpsilonCacheLaggingAgentReadsTable(t *testing.T) {
+	cfg := Config{
+		States: 4, Actions: 3,
+		Alpha: 0.2, Gamma: 0.9,
+		EpsilonStart: 0.5, EpsilonEnd: 0.02, EpsilonDecay: 0.999,
+	}
+	a, err := NewAgent(cfg, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := NewEpsilonCache(cfg.EpsilonStart, cfg.EpsilonEnd, cfg.EpsilonDecay)
+	if !a.AttachEpsilonCache(ec) {
+		t.Fatal("matching cache refused")
+	}
+	ec.WarmAt(1000)
+	if len(ec.vals) != 1002 {
+		t.Fatalf("WarmAt(1000) holds %d entries, want 1002 (steps 0…1001)", len(ec.vals))
+	}
+	for s, v := range ec.vals {
+		if math.Float64bits(v) != math.Float64bits(scheduleEps(cfg, s)) {
+			t.Fatalf("entry %d = %v, want %v", s, v, scheduleEps(cfg, s))
+		}
+	}
+	ec.WarmAt(10) // a lower warm never shrinks the table
+	if len(ec.vals) != 1002 {
+		t.Fatalf("WarmAt(10) after WarmAt(1000) left %d entries", len(ec.vals))
+	}
+	st := rng.New(5)
+	a.Begin(0)
+	for step := 0; step < 40; step++ {
+		if got, want := a.Epsilon(), scheduleEps(cfg, a.steps); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: lagging agent epsilon %v, want %v", a.steps, got, want)
+		}
+		a.Step(st.Float64(), st.Intn(cfg.States))
+	}
+	saved := ec.vals[a.steps]
+	ec.vals[a.steps] = 0.123 // poison: a lagging agent must read its own entry
+	if got := a.Epsilon(); got != 0.123 {
+		t.Fatalf("lagging agent at step %d computed inline: %v", a.steps, got)
+	}
+	ec.vals[a.steps] = saved
+}
+
+// TestEpsilonCacheMissComputesInline: an agent ahead of the table computes
+// its own epsilon, bit-equal to the schedule, and never grows the shared
+// table — only WarmAt writes.
 func TestEpsilonCacheMissComputesInline(t *testing.T) {
 	cfg := Config{
 		States: 4, Actions: 3,
@@ -63,13 +114,23 @@ func TestEpsilonCacheMissComputesInline(t *testing.T) {
 	}
 	ec := NewEpsilonCache(cfg.EpsilonStart, cfg.EpsilonEnd, cfg.EpsilonDecay)
 	a.AttachEpsilonCache(ec)
-	ec.WarmAt(1000) // agent is at step 0: guaranteed miss
-	want := cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, 0)
-	if got := a.Epsilon(); got != want {
-		t.Fatalf("miss path: got %v want %v", got, want)
+	if got, want := a.Epsilon(), scheduleEps(cfg, 0); got != want {
+		t.Fatalf("cold table: got %v want %v", got, want)
 	}
-	if ec.step != 1000 {
-		t.Fatalf("miss path wrote to the shared cache: step %d", ec.step)
+	if len(ec.vals) != 0 {
+		t.Fatalf("a read grew the cold table to %d entries", len(ec.vals))
+	}
+	ec.WarmAt(0)
+	st := rng.New(5)
+	a.Begin(0)
+	for step := 0; step < 10; step++ {
+		a.Step(st.Float64(), st.Intn(cfg.States))
+	}
+	if got, want := a.Epsilon(), scheduleEps(cfg, a.steps); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("ahead of the table at step %d: got %v want %v", a.steps, got, want)
+	}
+	if len(ec.vals) != 2 {
+		t.Fatalf("an agent ahead of the table grew it to %d entries, want 2", len(ec.vals))
 	}
 }
 
@@ -93,9 +154,10 @@ func TestEpsilonCacheRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestLinearEpsilonCache: a linear agent on a warmed shared cache must see
+// TestLinearEpsilonCache: a linear agent on a warmed shared table must see
 // bit-equal epsilons and pick the same actions as an uncached twin; a
-// lockstep miss computes inline, and a mismatched schedule is refused.
+// lagging agent reads the table, one ahead of it computes inline without
+// growing it, and a mismatched schedule is refused.
 func TestLinearEpsilonCache(t *testing.T) {
 	tc, err := NewTileCoder([]float64{0}, []float64{1}, 8, 4)
 	if err != nil {
@@ -121,10 +183,11 @@ func TestLinearEpsilonCache(t *testing.T) {
 		t.Fatal("matching cache refused")
 	}
 
-	ec.WarmAt(1000) // agent is at step 0: guaranteed miss
-	want := cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, 0)
-	if got := cached.Epsilon(); got != want {
-		t.Fatalf("miss path: got %v want %v", got, want)
+	want := func(steps int) float64 {
+		return cfg.EpsilonEnd + (cfg.EpsilonStart-cfg.EpsilonEnd)*math.Pow(cfg.EpsilonDecay, float64(steps))
+	}
+	if got := cached.Epsilon(); got != want(0) || len(ec.vals) != 0 {
+		t.Fatalf("cold table: got %v want %v, table grew to %d", got, want(0), len(ec.vals))
 	}
 
 	ec.WarmAt(0)
@@ -144,9 +207,35 @@ func TestLinearEpsilonCache(t *testing.T) {
 			t.Fatalf("step %d: action diverged: %d vs %d", step, a, b)
 		}
 	}
-	ec.WarmAt(cached.steps)
-	ec.val = 0.123 // poison: an exact-step hit must be served from the cache
+	// The post-step read is served from the table WarmAt extended.
+	if len(ec.vals) != cached.steps+1 {
+		t.Fatalf("table holds %d entries after %d steps, want %d", len(ec.vals), cached.steps, cached.steps+1)
+	}
+	saved := ec.vals[cached.steps]
+	ec.vals[cached.steps] = 0.123 // poison: a table hit must be served from the table
 	if got := cached.Epsilon(); got != 0.123 {
-		t.Fatalf("exact-step hit computed inline: %v", got)
+		t.Fatalf("table hit computed inline: %v", got)
+	}
+	ec.vals[cached.steps] = saved
+
+	// A lagging agent reads the table; one ahead of it computes inline and
+	// leaves it unchanged.
+	lag, err := NewLinearAgent(tc, cfg, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lag.AttachEpsilonCache(ec)
+	lag.Begin(x)
+	lag.Step(0.5, x)
+	saved = ec.vals[lag.steps]
+	ec.vals[lag.steps] = 0.456
+	if got := lag.Epsilon(); got != 0.456 {
+		t.Fatalf("lagging agent at step %d computed inline: %v", lag.steps, got)
+	}
+	ec.vals[lag.steps] = saved
+	n := len(ec.vals)
+	cached.Step(0.5, x)
+	if got := cached.Epsilon(); math.Float64bits(got) != math.Float64bits(want(cached.steps)) || len(ec.vals) != n {
+		t.Fatalf("ahead of the table: got %v want %v, table %d → %d entries", got, want(cached.steps), n, len(ec.vals))
 	}
 }

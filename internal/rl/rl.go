@@ -177,7 +177,7 @@ type Agent struct {
 	// scratch for softmax
 	probs []float64
 
-	// shared exploration-schedule memo; nil means compute per call.
+	// shared exploration-schedule table; nil means compute per call.
 	epsCache *EpsilonCache
 
 	// introspection (see introspect.go); off by default and free when off.
@@ -230,37 +230,45 @@ func NewAgent(cfg Config, r *rng.RNG) (*Agent, error) {
 // global layer, which reads Q-values as marginal-utility estimates).
 func (a *Agent) Table() *Table { return a.table }
 
-// EpsilonCache memoises one point of the exploration schedule
-// ε(t) = end + (start−end)·decay^t for a fleet of agents that march in
-// lockstep (the OD-RL local phase: every live agent takes exactly one
-// step per control epoch). The owner warms it once per epoch with the
-// fleet's common step count; each agent's Epsilon then skips its
-// math.Pow. The cached value is computed by the identical expression
-// Epsilon uses, so a hit is bit-equal to the inline computation.
+// EpsilonCache is a shared table of the exploration schedule
+// ε(t) = end + (start−end)·decay^t for t = 0…n, for a fleet of agents on
+// one schedule (the OD-RL local phase). The owner warms it once per
+// control epoch with the fleet's lockstep step count, and each agent's
+// Epsilon then reads its own step's entry instead of calling math.Pow.
+// Every entry is computed by the expression Epsilon uses, so a read is
+// bit-equal to the inline computation.
 //
-// Agents only read the cache (a hit requires an exact step match; a miss
-// computes inline without writing), so a warmed cache is safe to share
-// across the sharded decide loop — and an agent that fell out of
-// lockstep (e.g. behind a telemetry watchdog) simply misses and pays the
-// Pow itself.
+// The table only grows (8 bytes per step of the run), so agents that
+// fell behind the lockstep count (held by a telemetry watchdog, or
+// restarted) still read from it, as does a read right after the step
+// (learning introspection). Only WarmAt writes; agents read, and an agent
+// past the end of the table computes inline without writing. A table warmed before the sharded decide loop
+// dispatches is therefore safe to share across its workers.
 type EpsilonCache struct {
 	start, end, decay float64
-	step              int
-	val               float64
-	ok                bool
+	vals              []float64 // vals[t] = ε(t)
 }
 
-// NewEpsilonCache creates a cold cache for the given schedule.
+// NewEpsilonCache creates an empty table for the given schedule.
 func NewEpsilonCache(start, end, decay float64) *EpsilonCache {
 	return &EpsilonCache{start: start, end: end, decay: decay}
 }
 
-// WarmAt computes and stores ε at the given step count. Call from a
-// single goroutine, before any concurrent readers.
+// WarmAt extends the table through step steps+1: the lockstep step count
+// and the count right after that step. Call from a single goroutine,
+// before any concurrent readers.
 func (ec *EpsilonCache) WarmAt(steps int) {
-	ec.val = ec.end + (ec.start-ec.end)*math.Pow(ec.decay, float64(steps))
-	ec.step = steps
-	ec.ok = true
+	for t := len(ec.vals); t <= steps+1; t++ {
+		ec.vals = append(ec.vals, ec.end+(ec.start-ec.end)*math.Pow(ec.decay, float64(t)))
+	}
+}
+
+// at returns ε(steps) from the table; ok is false past its end.
+func (ec *EpsilonCache) at(steps int) (eps float64, ok bool) {
+	if ec == nil || steps >= len(ec.vals) {
+		return 0, false
+	}
+	return ec.vals[steps], true
 }
 
 // AttachEpsilonCache connects the agent to a shared schedule cache. It
@@ -277,8 +285,8 @@ func (a *Agent) AttachEpsilonCache(ec *EpsilonCache) bool {
 
 // Epsilon returns the current exploration parameter.
 func (a *Agent) Epsilon() float64 {
-	if ec := a.epsCache; ec != nil && ec.ok && ec.step == a.steps {
-		return ec.val
+	if eps, ok := a.epsCache.at(a.steps); ok {
+		return eps
 	}
 	c := a.cfg
 	return c.EpsilonEnd + (c.EpsilonStart-c.EpsilonEnd)*math.Pow(c.EpsilonDecay, float64(a.steps))

@@ -119,7 +119,7 @@ type LinearAgent struct {
 	traceVal []float64 // trail traces, parallel to traceIdx
 	r        *rng.RNG
 
-	// shared exploration-schedule memo; nil means compute per call.
+	// shared exploration-schedule table; nil means compute per call.
 	epsCache *EpsilonCache
 
 	steps int
@@ -237,8 +237,8 @@ func (a *LinearAgent) AttachEpsilonCache(ec *EpsilonCache) bool {
 
 // Epsilon returns the current exploration rate.
 func (a *LinearAgent) Epsilon() float64 {
-	if ec := a.epsCache; ec != nil && ec.ok && ec.step == a.steps {
-		return ec.val
+	if eps, ok := a.epsCache.at(a.steps); ok {
+		return eps
 	}
 	return a.epsEnd + (a.epsStart-a.epsEnd)*math.Pow(a.epsDecay, float64(a.steps))
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctrl"
+	"repro/internal/obs"
 	"repro/internal/obs/learn"
 	"repro/internal/obs/monitor"
 )
@@ -23,9 +24,9 @@ func mallocsDuring(f func()) uint64 {
 }
 
 // allocRun executes one sequential run of the controller build makes,
-// with monitoring and learning introspection attached — the full
-// observability stack a production run carries — and returns how many heap
-// allocations it made.
+// with a JSONL tracer sampling every epoch, monitoring and learning
+// introspection attached — the full observability stack a production run
+// carries — and returns how many heap allocations it made.
 func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, error)) uint64 {
 	t.Helper()
 	opts := DefaultOptions()
@@ -34,6 +35,7 @@ func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, 
 	opts.WarmupS = 0.05
 	opts.MeasureS = measureS
 	opts.TracePoints = 0
+	opts.Observer = obs.NewTracer(discardSink{}, obs.TracerOptions{Every: 1})
 	opts.Monitor = monitor.New(monitor.Options{})
 	opts.Learn = learn.New(learn.Options{})
 
@@ -55,12 +57,19 @@ func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, 
 	return n
 }
 
+// discardSink accepts and drops every trace line.
+type discardSink struct{}
+
+func (discardSink) Emit([]byte) error { return nil }
+func (discardSink) Close() error      { return nil }
+
 // TestRunSteadyStateZeroAlloc is the allocation-regression gate for the
 // epoch loop: two runs that differ only in length are measured, so all
 // setup cost (chip construction, LUTs, observer registration, result
 // buffers) cancels in the difference and the quotient is the steady-state
-// per-epoch allocation rate. The epoch kernel, the decide/learn path, and
-// the monitor + learn observers together must allocate nothing per epoch;
+// per-epoch allocation rate. The epoch kernel, the decide/learn path, the
+// tracer's epoch and learn records, and the monitor + learn observers
+// together must allocate nothing per epoch;
 // the threshold of 0.05 allocs/epoch leaves room only for amortized slice
 // growth inside the observers' time-series stores.
 //
