@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -36,13 +37,15 @@ func main() {
 
 // benchFlags carries every flag into the dispatch body.
 type benchFlags struct {
-	experiment, cacheDir, faultSpec                        string
-	benchPar, benchMon, benchLearn, benchStep, benchFlight string
-	outDir, reportFile                                     string
-	quick                                                  bool
-	cores, workers                                         int
-	budget                                                 float64
-	seed                                                   uint64
+	experiment, cacheDir, faultSpec string
+	// bench is the selected -bench-<kind> mode ("" for none): "par",
+	// "step" or an overhead layer's name; benchPath is its report file.
+	bench, benchPath   string
+	outDir, reportFile string
+	quick              bool
+	cores, workers     int
+	budget             float64
+	seed               uint64
 }
 
 // run is the whole CLI behind a testable seam. Exit code 2 means the
@@ -51,26 +54,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("odrl-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment  = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F10) or 'all'")
-		cacheDir    = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); only table runs are cached, never bench or report modes")
-		quick       = fs.Bool("quick", false, "shrink runs for a fast smoke pass")
-		cores       = fs.Int("cores", 0, "override platform core count")
-		budget      = fs.Float64("budget", 0, "override chip budget (W)")
-		seed        = fs.Uint64("seed", 0, "override random seed")
-		workers     = fs.Int("j", 0, "worker goroutines for run fan-out and chip sharding (0 = one per CPU, 1 = sequential); results are identical for any value")
-		faultSpec   = fs.String("fault-plan", "", "inject faults into every run: an intensity in [0,1] for the canonical plan, or a plan JSON file path (F18 sweeps its own plans)")
-		benchPar    = fs.String("bench-par", "", "measure sequential-vs-parallel wall clock and write a JSON report (e.g. BENCH_par.json) to this file, then exit")
-		benchMon    = fs.String("bench-monitor", "", "measure monitoring-off-vs-on wall clock and write a JSON report (e.g. BENCH_monitor.json) to this file, then exit")
-		benchLearn  = fs.String("bench-learn", "", "measure learning-introspection-off-vs-on wall clock and write a JSON report (e.g. BENCH_learn.json) to this file, then exit")
-		benchStep   = fs.String("bench-step", "", "measure single-thread epoch-kernel throughput (struct-of-arrays vs reference) and write a JSON report (e.g. BENCH_step.json) to this file, then exit non-zero if the speedup gate fails")
-		benchFlight = fs.String("bench-flight", "", "measure flight-recorder-off-vs-on wall clock and write a JSON report (e.g. BENCH_flight.json) to this file, then exit")
-		outDir      = fs.String("o", "", "also write one CSV per experiment into this directory")
-		reportFile  = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file and exit")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit (go tool pprof format)")
-		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on clean exit, after a final GC")
+		experiment = fs.String("experiment", "all", "experiment ID (T1, T2, F1..F10) or 'all'")
+		cacheDir   = fs.String("cache", "", "content-addressed result cache directory shared with odrl-run ('' = no cache); only table runs are cached, never bench or report modes")
+		quick      = fs.Bool("quick", false, "shrink runs for a fast smoke pass")
+		cores      = fs.Int("cores", 0, "override platform core count")
+		budget     = fs.Float64("budget", 0, "override chip budget (W)")
+		seed       = fs.Uint64("seed", 0, "override random seed")
+		workers    = fs.Int("j", 0, "worker goroutines for run fan-out and chip sharding (0 = one per CPU, 1 = sequential); results are identical for any value")
+		faultSpec  = fs.String("fault-plan", "", "inject faults into every run: an intensity in [0,1] for the canonical plan, or a plan JSON file path (F18 sweeps its own plans)")
+		outDir     = fs.String("o", "", "also write one CSV per experiment into this directory")
+		reportFile = fs.String("report", "", "write a complete markdown report (claim verdicts + all tables) to this file and exit")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit (go tool pprof format)")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on clean exit, after a final GC")
 	)
+	// One -bench-<kind> flag per bench mode, each naming its report file.
+	benchPaths := map[string]*string{
+		"par":  fs.String("bench-par", "", "measure sequential-vs-parallel wall clock and write a JSON report (e.g. BENCH_par.json) to this file, then exit"),
+		"step": fs.String("bench-step", "", "measure single-thread epoch-kernel throughput (struct-of-arrays vs reference) and write a JSON report (e.g. BENCH_step.json) to this file, then exit non-zero if the speedup gate fails"),
+	}
+	for _, l := range experiments.OverheadLayers {
+		benchPaths[l.Name] = fs.String("bench-"+l.Name, "", fmt.Sprintf(
+			"measure the %[1]s layer's off-vs-on epoch-loop overhead and write a JSON report (e.g. BENCH_%[1]s.json) to this file, then exit non-zero if any case exceeds the %.1[2]f%% ceiling (-quick: short smoke run, no gate)",
+			l.Name, l.MaxPct))
+	}
 	inst := instrument.Register(fs, 100)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var benches []string
+	for kind, path := range benchPaths {
+		if *path != "" {
+			benches = append(benches, kind)
+		}
+	}
+	if len(benches) > 1 {
+		sort.Strings(benches)
+		fmt.Fprintf(stderr, "odrl-bench: -bench-%s are exclusive; pass one bench mode per invocation\n",
+			strings.Join(benches, ", -bench-"))
 		return 2
 	}
 
@@ -106,10 +126,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	f := benchFlags{
 		experiment: *experiment, cacheDir: *cacheDir, faultSpec: *faultSpec,
-		benchPar: *benchPar, benchMon: *benchMon, benchLearn: *benchLearn,
-		benchStep: *benchStep, benchFlight: *benchFlight,
 		outDir: *outDir, reportFile: *reportFile, quick: *quick,
 		cores: *cores, workers: *workers, budget: *budget, seed: *seed,
+	}
+	if len(benches) == 1 {
+		f.bench, f.benchPath = benches[0], *benchPaths[benches[0]]
 	}
 	// Every execution mode records a run. The bench modes open only the
 	// ledger session, never the sim hooks: their off legs must stay
@@ -120,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code   int
 		runErr error
 	)
-	if f.benchPar != "" || f.benchStep != "" || f.benchMon != "" || f.benchLearn != "" || f.benchFlight != "" {
+	if f.bench != "" {
 		lcli := inst.Ledger.Start("odrl-bench", args)
 		code, runErr = benchMain(stdout, lcli, f)
 		lcli.Finish(runErr)
@@ -163,7 +184,8 @@ func emitBench(lcli *ledger.CLI, path, kind string, rep benchReport, points []le
 // benchMain runs the one selected bench mode. The int is the process exit
 // code; a non-nil error is both printed and recorded in the run ledger.
 func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
-	if f.benchPar != "" {
+	switch f.bench {
+	case "par":
 		rep, err := experiments.BenchPar(f.workers)
 		if err != nil {
 			return 1, err
@@ -172,18 +194,17 @@ func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 		for _, c := range rep.Cases {
 			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "speedup", Value: c.Speedup})
 		}
-		if err := emitBench(lcli, f.benchPar, "par", rep, pts); err != nil {
+		if err := emitBench(lcli, f.benchPath, "par", rep, pts); err != nil {
 			return 1, err
 		}
 		for _, c := range rep.Cases {
 			fmt.Fprintf(stdout, "%-32s workers=%d  seq %.2fs  par %.2fs  speedup %.2fx\n",
 				c.Name, c.Workers, c.SequentialS, c.ParallelS, c.Speedup)
 		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchPar, rep.HostCPUs)
+		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchPath, rep.HostCPUs)
 		return 0, nil
-	}
 
-	if f.benchStep != "" {
+	case "step":
 		rep, err := experiments.BenchStep(experiments.Config{Quick: f.quick})
 		if err != nil {
 			return 1, err
@@ -192,14 +213,14 @@ func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 		for _, c := range rep.Cases {
 			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "speedup", Value: c.Speedup})
 		}
-		if err := emitBench(lcli, f.benchStep, "step", rep, pts); err != nil {
+		if err := emitBench(lcli, f.benchPath, "step", rep, pts); err != nil {
 			return 1, err
 		}
 		for _, c := range rep.Cases {
 			fmt.Fprintf(stdout, "%-24s cores=%-5d soa %10.0f ep/s  ref %9.0f ep/s  speedup %.2fx\n",
 				c.Name, c.Cores, c.EpochsPerSec, c.ReferenceEpochsPerSec, c.Speedup)
 		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchStep, rep.HostCPUs)
+		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchPath, rep.HostCPUs)
 		if !f.quick && !rep.Gate.Pass {
 			return 1, fmt.Errorf("throughput gate FAILED: %s speedup %.2fx < %.1fx",
 				rep.Gate.Case, rep.Gate.Speedup, rep.Gate.MinSpeedup)
@@ -207,48 +228,14 @@ func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 		return 0, nil
 	}
 
-	if f.benchMon != "" {
-		rep, err := experiments.BenchMonitor()
-		if err != nil {
-			return 1, err
+	// Every other mode is a row of the overhead table.
+	var layer experiments.OverheadLayer
+	for _, l := range experiments.OverheadLayers {
+		if l.Name == f.bench {
+			layer = l
 		}
-		var pts []ledger.BenchPoint
-		for _, c := range rep.Cases {
-			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "overhead_frac", Value: c.OverheadFrac})
-		}
-		if err := emitBench(lcli, f.benchMon, "monitor", rep, pts); err != nil {
-			return 1, err
-		}
-		for _, c := range rep.Cases {
-			fmt.Fprintf(stdout, "%-32s epochs=%d  off %.2fs  on %.2fs  overhead %.2f%%\n",
-				c.Name, c.Epochs, c.OffS, c.OnS, 100*c.OverheadFrac)
-		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchMon, rep.HostCPUs)
-		return 0, nil
 	}
-
-	if f.benchLearn != "" {
-		rep, err := experiments.BenchLearn()
-		if err != nil {
-			return 1, err
-		}
-		var pts []ledger.BenchPoint
-		for _, c := range rep.Cases {
-			pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "overhead_frac", Value: c.OverheadFrac})
-		}
-		if err := emitBench(lcli, f.benchLearn, "learn", rep, pts); err != nil {
-			return 1, err
-		}
-		for _, c := range rep.Cases {
-			fmt.Fprintf(stdout, "%-32s epochs=%d  off %.2fs  on %.2fs  overhead %.2f%%\n",
-				c.Name, c.Epochs, c.OffS, c.OnS, 100*c.OverheadFrac)
-		}
-		fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchLearn, rep.HostCPUs)
-		return 0, nil
-	}
-
-	// Only -bench-flight is left.
-	rep, err := experiments.BenchFlight()
+	rep, err := experiments.BenchOverhead(layer, experiments.Config{Quick: f.quick})
 	if err != nil {
 		return 1, err
 	}
@@ -256,14 +243,38 @@ func benchMain(stdout io.Writer, lcli *ledger.CLI, f benchFlags) (int, error) {
 	for _, c := range rep.Cases {
 		pts = append(pts, ledger.BenchPoint{Case: c.Name, Metric: "overhead_frac", Value: c.OverheadFrac})
 	}
-	if err := emitBench(lcli, f.benchFlight, "flight", rep, pts); err != nil {
+	if err := emitBench(lcli, f.benchPath, layer.Name, rep, pts); err != nil {
 		return 1, err
 	}
 	for _, c := range rep.Cases {
 		fmt.Fprintf(stdout, "%-32s epochs=%d  off %.2fs  on %.2fs  overhead %.2f%%\n",
 			c.Name, c.Epochs, c.OffS, c.OnS, 100*c.OverheadFrac)
 	}
-	fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchFlight, rep.HostCPUs)
+	fmt.Fprintf(stdout, "report written to %s (%d CPUs)\n", f.benchPath, rep.HostCPUs)
+	if f.quick {
+		return 0, nil
+	}
+	return overheadGate(stdout, layer, rep)
+}
+
+// overheadGate holds every case of an overhead report to the layer's
+// ceiling: one pass or fail line per case, and exit code 1 if any case
+// exceeds it.
+func overheadGate(stdout io.Writer, layer experiments.OverheadLayer, rep experiments.OverheadReport) (int, error) {
+	failed := 0
+	for _, c := range rep.Cases {
+		pct := 100 * c.OverheadFrac
+		if pct > layer.MaxPct {
+			fmt.Fprintf(stdout, "%s overhead %.2f%% exceeds %.1f%% ceiling\n", layer.Name, pct, layer.MaxPct)
+			failed++
+		} else {
+			fmt.Fprintf(stdout, "%s overhead %.2f%% (ceiling %.1f%%)\n", layer.Name, pct, layer.MaxPct)
+		}
+	}
+	if failed > 0 {
+		return 1, fmt.Errorf("%s overhead gate FAILED: %d of %d cases exceed the %.1f%% ceiling",
+			layer.Name, failed, len(rep.Cases), layer.MaxPct)
+	}
 	return 0, nil
 }
 

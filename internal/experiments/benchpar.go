@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -28,7 +29,7 @@ type BenchParCase struct {
 // execution layer on this host. Results are bit-identical across worker
 // counts, so the comparison is pure scheduling overhead vs parallelism.
 type BenchParReport struct {
-	HostInfo
+	obs.Host
 	Workers int            `json:"workers"`
 	Cases   []BenchParCase `json:"cases"`
 }
@@ -38,21 +39,6 @@ func timeRun(fn func() error) (float64, error) {
 	start := time.Now() //odrl:allow wallclock bench harness measures host wall-clock by design
 	err := fn()
 	return time.Since(start).Seconds(), err //odrl:allow wallclock bench harness measures host wall-clock by design
-}
-
-// timeRunBoth reports wall-clock and process-CPU seconds of one invocation
-// of fn; cpuS is zero when the platform cannot measure CPU time. The
-// overhead gates ratio CPU time where available because it is immune to the
-// scheduler noise that dominates wall clock on shared hosts.
-func timeRunBoth(fn func() error) (wallS, cpuS float64, err error) {
-	c0 := cpuSeconds()
-	start := time.Now() //odrl:allow wallclock bench harness measures host wall-clock by design
-	err = fn()
-	wallS = time.Since(start).Seconds() //odrl:allow wallclock bench harness measures host wall-clock by design
-	if c1 := cpuSeconds(); c1 > c0 {
-		cpuS = c1 - c0
-	}
-	return wallS, cpuS, err
 }
 
 // benchParCase times fn at Workers=1 and at the requested worker count.
@@ -83,8 +69,8 @@ func benchParCase(name string, workers int, fn func(workers int) error) (BenchPa
 func BenchPar(workers int) (BenchParReport, error) {
 	workers = par.Workers(workers, 1<<30)
 	rep := BenchParReport{
-		HostInfo: hostInfo(),
-		Workers:  workers,
+		Host:    obs.HostInfo(),
+		Workers: workers,
 	}
 
 	// Outer loop: the F2 benchmark×controller sweep, cache reset between

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/manycore"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -50,7 +51,7 @@ type BenchStepGate struct {
 // two kernels are bit-identical in output (see internal/manycore's oracle
 // tests), so every ratio here is pure implementation speed.
 type BenchStepReport struct {
-	HostInfo
+	obs.Host
 	Cases []BenchStepCase `json:"cases"`
 	Gate  BenchStepGate   `json:"gate"`
 }
@@ -160,7 +161,7 @@ const BenchStepMinSpeedup = 5.0
 // mode shrinks epoch counts for CI smoke; the gate is only meaningful at
 // full fidelity.
 func BenchStep(cfg Config) (BenchStepReport, error) {
-	rep := BenchStepReport{HostInfo: hostInfo()}
+	rep := BenchStepReport{Host: obs.HostInfo()}
 	reps := 3
 	scale := 1
 	if cfg.Quick {

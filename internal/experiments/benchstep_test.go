@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/manycore"
+	"repro/internal/obs"
 )
 
 // TestBenchStepCaseMeasures runs one tiny paired measurement and checks
 // both kernels were timed and the ratio computed. The epoch count is far
 // too small for the numbers to mean anything — this pins the harness, not
-// the throughput (the gate lives in `make bench-step`).
+// the throughput (the gate lives in `odrl-bench -bench-step`).
 func TestBenchStepCaseMeasures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock benchmark")
@@ -65,11 +66,11 @@ func TestBenchStepChurnPaired(t *testing.T) {
 	}
 }
 
-// TestBenchStepReportJSON checks the report serialises with the gate
-// verdict the Makefile's awk pass greps for.
+// TestBenchStepReportJSON checks the report serialises with its gate
+// verdict.
 func TestBenchStepReportJSON(t *testing.T) {
 	rep := BenchStepReport{
-		HostInfo: hostInfo(),
+		Host: obs.HostInfo(),
 		Cases: []BenchStepCase{{
 			Name: "raw-steady-256", Cores: 256, Raw: true,
 			EpochsPerSec: 10, ReferenceEpochsPerSec: 2, Speedup: 5,

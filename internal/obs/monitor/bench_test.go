@@ -8,8 +8,9 @@ import (
 
 // BenchmarkObserveEpoch measures the monitor's full per-epoch path — frame
 // fill, two sketch observations, store append, rule evaluation, idle live
-// hub — which is the cost `make bench-monitor` bounds at <3% of the epoch
-// loop. Must stay allocation-free.
+// hub — which is the cost `make bench-monitor` bounds at
+// experiments.MonitorOverheadMaxPct (5%) of the epoch loop. Must stay
+// allocation-free.
 func BenchmarkObserveEpoch(b *testing.B) {
 	m := New(Options{})
 	ro := m.Wrap(nil).BeginRun(testMeta)
