@@ -16,8 +16,9 @@ COVER_FLOOR ?= 80.0
 
 ci: lint vet build test test-determinism test-scenarios race-monitor race-learn race-ledger race-par bench-obs bench-monitor bench-learn bench-flight bench-step-smoke obs-smoke fuzz-smoke cover
 
-# Repo-specific invariant analyzers (detrange, rngdiscipline, wallclock,
-# hotpathalloc, kernelparity): compile-time proof of the determinism, RNG,
+# Formatting gate, then the repo-specific invariant analyzers (detrange,
+# rngdiscipline, wallclock, hotpathalloc, kernelparity): gofmt -l must print
+# nothing, then compile-time proof of the determinism, RNG,
 # clock and hot-path contracts, run ahead of go vet so contract breaks
 # surface before generic diagnostics. Exits non-zero on any unsuppressed
 # diagnostic. odrl-vet carries its own go/parser+go/types driver because
@@ -25,6 +26,8 @@ ci: lint vet build test test-determinism test-scenarios race-monitor race-learn 
 # becomes available, the analyzers port to a multichecker and this target
 # becomes `go vet -vettool=$$(which odrl-vet) ./...` unchanged.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/odrl-vet ./...
 
 # Audit ledger: every //odrl:allow suppression in the tree with its
@@ -56,12 +59,12 @@ test-determinism:
 test-scenarios:
 	$(GO) test -count=1 ./internal/scenario/ ./cmd/odrl-run/
 
-# Race hammer on the monitor's time-series store: concurrent HTTP-style
-# readers snapshotting while the epoch loop appends and decimates.
+# Race hammer on the monitor: several concurrent runs sharing one Monitor,
+# each firing alerts, while readers poll Runs and AlertsFired.
 race-monitor:
-	$(GO) test -race -count=1 -run 'TestStoreConcurrentReadWrite|TestSSEStream|TestSlowSubscriber' ./internal/obs/monitor/
+	$(GO) test -race -count=1 -run 'TestMonitorConcurrentRuns' ./internal/obs/monitor/
 
-# Race hammer on the learn layer's run store: concurrent /debug/learn and
+# Race hammer on the learn layer's run store: concurrent run-list and
 # summary readers while the epoch loop streams per-agent samples.
 race-learn:
 	$(GO) test -race -count=1 -run 'TestLearnStoreRace' ./internal/obs/learn/
@@ -112,12 +115,17 @@ cover:
 		if (t + 0 < f + 0) { printf "coverage %.1f%% is below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
-# Flight-recorder-off-vs-on epoch-loop overhead: writes BENCH_flight.json
-# and fails if any case exceeds experiments.FlightOverheadMaxPct (3%). The
-# off leg runs with no observer at all, so the number is the full cost of
-# always-on post-mortem recording.
+# Flight-recorder-off-vs-on epoch-loop overhead: writes
+# .bench_build/BENCH_flight.json and fails if any case exceeds
+# experiments.FlightOverheadMaxPct (3%). The off leg runs with no observer
+# at all, so the number is the full cost of always-on post-mortem
+# recording. Like bench-monitor and bench-learn it writes under the
+# gitignored .bench_build/, so `make ci` leaves the tree clean; refresh the
+# checked-in BENCH_flight.json on purpose with
+# `go run ./cmd/odrl-bench -bench-flight BENCH_flight.json`.
 bench-flight:
-	$(GO) run ./cmd/odrl-bench -bench-flight BENCH_flight.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/odrl-bench -bench-flight .bench_build/BENCH_flight.json
 
 # End-to-end observatory smoke: two short ledgered runs into a scratch
 # ledger, then pin the first-run baseline, regression-check the re-run and
@@ -151,13 +159,16 @@ bench-par:
 	$(GO) run ./cmd/odrl-bench -bench-par BENCH_par.json
 	$(GO) test -run=- -bench='BenchmarkStepParallel|BenchmarkStepSequential|BenchmarkSweepParallel' -benchtime=1s .
 
-# Monitoring-off-vs-on epoch-loop overhead: writes BENCH_monitor.json and
-# fails if any case exceeds experiments.MonitorOverheadMaxPct (5%).
+# Monitoring-off-vs-on epoch-loop overhead: writes
+# .bench_build/BENCH_monitor.json and fails if any case exceeds
+# experiments.MonitorOverheadMaxPct (5%).
 bench-monitor:
-	$(GO) run ./cmd/odrl-bench -bench-monitor BENCH_monitor.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/odrl-bench -bench-monitor .bench_build/BENCH_monitor.json
 
 # Learning-introspection-off-vs-on epoch-loop overhead: writes
-# BENCH_learn.json and fails if any case exceeds
+# .bench_build/BENCH_learn.json and fails if any case exceeds
 # experiments.LearnOverheadMaxPct (5%).
 bench-learn:
-	$(GO) run ./cmd/odrl-bench -bench-learn BENCH_learn.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/odrl-bench -bench-learn .bench_build/BENCH_learn.json

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/learn"
-	"repro/internal/obs/ledger"
 )
 
 func main() {
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runID = fs.Int64("run", 0, "trace run ID to inspect when a directory holds several (default: the first recorded)")
 		width = fs.Int("width", 60, "learning-curve sparkline width in characters")
 	)
-	ledgerFlags := ledger.RegisterFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: odrl-inspect [flags] RUNDIR [RUNDIR2]")
 		fs.PrintDefaults()
@@ -70,12 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	lcli := ledgerFlags.Start("odrl-inspect", args)
 	runs := make([]*runData, len(dirs))
 	for i, dir := range dirs {
 		rd, err := loadRun(dir, *runID)
 		if err != nil {
-			lcli.Finish(err)
 			fmt.Fprintln(stderr, "odrl-inspect:", err)
 			return 1
 		}
@@ -89,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		diff(stdout, runs[0], runs[1])
 	}
-	lcli.Finish(nil)
 	return 0
 }
 

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/obs/ledger"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dir      = fs.String("dir", ".", "module directory to analyze (go list runs here)")
 		maxDiags = fs.Int("max", 0, "print at most this many diagnostics (0 = no limit; exit code still reflects the full count)")
 	)
-	ledgerFlags := ledger.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -78,36 +76,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	// A vet pass is a run worth remembering: the record's status tells CI
-	// archaeology whether this tree was clean at this commit.
-	lcli := ledgerFlags.Start("odrl-vet", args)
-
 	loader := analysis.NewLoader(*dir)
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		lcli.Finish(fmt.Errorf("load: %v", err))
 		fmt.Fprintf(stderr, "odrl-vet: load: %v\n", err)
 		return 1
 	}
 	result, err := analysis.Vet(pkgs, analyzers)
 	if err != nil {
-		lcli.Finish(err)
 		fmt.Fprintf(stderr, "odrl-vet: %v\n", err)
 		return 1
 	}
 
-	var code int
 	if *allows {
-		code = reportAllows(result, *asJSON, stdout, stderr)
-	} else {
-		code = reportDiags(result, *asJSON, *maxDiags, stdout, stderr)
+		return reportAllows(result, *asJSON, stdout, stderr)
 	}
-	if code != 0 {
-		lcli.Finish(fmt.Errorf("%d unsuppressed diagnostic(s)", len(result.Diagnostics)))
-	} else {
-		lcli.Finish(nil)
-	}
-	return code
+	return reportDiags(result, *asJSON, *maxDiags, stdout, stderr)
 }
 
 func reportDiags(result analysis.Result, asJSON bool, maxDiags int, stdout, stderr io.Writer) int {

@@ -207,9 +207,6 @@ func runMain(fs *flag.FlagSet, stdout, stderr io.Writer, session *instrument.Ses
 		if err := sim.WritePhaseTable(stdout, results); err != nil {
 			return err
 		}
-		if err := session.WriteDecideQuantiles(stdout); err != nil {
-			return err
-		}
 	}
 
 	if f.plotTrace {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,6 +175,29 @@ func TestF5ControllerScaling(t *testing.T) {
 	v, err := strconv.ParseFloat(tbl.Rows[0][2], 64)
 	if err != nil || v <= 0 {
 		t.Fatalf("bad od-rl latency cell %q", tbl.Rows[0][2])
+	}
+}
+
+// TestMedianDuration pins the helper behind F5's and C4's decide timing:
+// odd and even counts, an empty input, and that one huge outlier (a
+// preempted block) leaves the median where the other blocks put it.
+func TestMedianDuration(t *testing.T) {
+	cases := []struct {
+		in   []time.Duration
+		want time.Duration
+	}{
+		{nil, 0},
+		{[]time.Duration{7}, 7},
+		{[]time.Duration{4, 2}, 3},
+		{[]time.Duration{5, 1, 3}, 3},
+		{[]time.Duration{10, 40, 20, 30}, 25},
+		{[]time.Duration{10, 11, 9, 10, time.Second, 10, 11}, 10},
+	}
+	for _, c := range cases {
+		in := slices.Clone(c.in)
+		if got := medianDuration(in); got != c.want {
+			t.Errorf("medianDuration(%v) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func F19LearningDynamics(cfg Config) (Table, error) {
 		if len(runs) != 1 {
 			return Table{}, fmt.Errorf("experiments: F19 controller %s streamed %d learn runs, want 1", name, len(runs))
 		}
-		s := runs[0].Summarize(false)
+		s := runs[0].Summarize()
 		convP50 := "-"
 		if s.Converged > 0 {
 			convP50 = fmt.Sprintf("%d", s.EpochsToConvergeP50)

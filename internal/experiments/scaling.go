@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ctrl"
@@ -40,21 +41,65 @@ func syntheticTelemetry(n int, seed uint64) *manycore.Telemetry {
 	return tel
 }
 
-// timeDecide measures the mean wall-clock latency of one Decide invocation.
-func timeDecide(c ctrl.Controller, tel *manycore.Telemetry, budgetW float64) time.Duration {
-	n := len(tel.Cores)
-	out := make([]int, n)
-	// Warm the controller (allocations, table setup).
-	c.Decide(tel, budgetW, out)
-	c.Decide(tel, budgetW, out)
-	const maxWall = 500 * time.Millisecond
-	iters := 0
-	start := time.Now()                               //odrl:allow wallclock decide-latency benchmark measures host wall-clock by design
-	for time.Since(start) < maxWall && iters < 2000 { //odrl:allow wallclock decide-latency benchmark measures host wall-clock by design
-		c.Decide(tel, budgetW, out)
-		iters++
+// Decide-latency timing protocol. The centralised controllers solve once
+// per decision cadence and replay the held decision in between, so a
+// block is a whole number of cadences: as many as fit in
+// decideMaxWall/decideBlocks, at least one, and at most decideMaxCalls
+// calls over all blocks. decideBlocks blocks are timed, fewer (never below
+// decideMinBlocks) when one block alone takes longer than that share. The
+// reported latency is the median of the block means, so a preemption that
+// lands in one block cannot move it.
+const (
+	decideBlocks    = 15
+	decideMinBlocks = 3
+	decideMaxWall   = time.Second
+	decideMaxCalls  = 2000
+)
+
+// timeDecide measures the wall-clock latency of one Decide invocation,
+// amortised over the controller's decision cadence (env.CadenceEpochs): the
+// median over fixed-size blocks of each block's mean.
+func timeDecide(c ctrl.Controller, tel *manycore.Telemetry, budgetW float64, cadence int) time.Duration {
+	out := make([]int, len(tel.Cores))
+	decide := func(calls int) time.Duration {
+		start := time.Now() //odrl:allow wallclock decide-latency benchmark measures host wall-clock by design
+		for i := 0; i < calls; i++ {
+			c.Decide(tel, budgetW, out)
+		}
+		return time.Since(start) //odrl:allow wallclock decide-latency benchmark measures host wall-clock by design
 	}
-	return time.Since(start) / time.Duration(iters) //odrl:allow wallclock decide-latency benchmark measures host wall-clock by design
+	// Warm the controller (allocations, table setup, first solve) for one
+	// cadence, timed to size the blocks; a cold cadence can only
+	// overestimate, which shortens the blocks.
+	perCadence := decide(cadence)
+	cadences := max(1, decideMaxCalls/decideBlocks/cadence)
+	if perCadence > 0 {
+		cadences = max(1, min(cadences, int(decideMaxWall/decideBlocks/perCadence)))
+	}
+	perBlock := cadences * cadence
+	blocks := decideBlocks
+	if blockWall := perCadence * time.Duration(cadences); blockWall > 0 {
+		blocks = max(decideMinBlocks, min(blocks, int(decideMaxWall/blockWall)))
+	}
+	means := make([]time.Duration, blocks)
+	for b := range means {
+		means[b] = decide(perBlock) / time.Duration(perBlock)
+	}
+	return medianDuration(means)
+}
+
+// medianDuration returns the median of ds (the mean of the two middle
+// values for an even count, 0 for none). It sorts ds in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	m := len(ds) / 2
+	if len(ds)%2 == 1 {
+		return ds[m]
+	}
+	return (ds[m-1] + ds[m]) / 2
 }
 
 // F5ControllerScaling reproduces claim C4: per-decision controller latency
@@ -105,7 +150,7 @@ func F5ControllerScaling(cfg Config) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			us := float64(timeDecide(c, tel, budget)) / 1e3
+			us := float64(timeDecide(c, tel, budget, env.CadenceEpochs)) / 1e3
 			row = append(row, cell(us))
 			switch name {
 			case "od-rl":

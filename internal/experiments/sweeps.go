@@ -67,7 +67,7 @@ func windowedRun(cfg Config, c ctrl.Controller, lr *learn.Run, totalS, windowS f
 				bips:      (chip.Instructions() - winInstr) / windowS / 1e9,
 			}
 			if lr != nil {
-				row.convFrac = lr.Summarize(false).ConvergedFrac
+				row.convFrac = lr.Summarize().ConvergedFrac
 			}
 			rows = append(rows, row)
 			winEnergy, winOverJ, winOverT = 0, 0, 0
@@ -121,7 +121,7 @@ func F6Convergence(cfg Config) (Table, error) {
 		})
 	}
 	if lr != nil {
-		if s := lr.Summarize(false); s.Converged > 0 {
+		if s := lr.Summarize(); s.Converged > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"conv(%%) = agents greedy-stable with settled TD error; %d/%d converged, median %d epochs",
 				s.Converged, s.LiveAgents, s.EpochsToConvergeP50))

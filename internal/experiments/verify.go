@@ -126,8 +126,8 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	odrlLat := timeDecide(odrl, tel, budget)
-	maxbipsLat := timeDecide(maxbips, tel, budget)
+	odrlLat := timeDecide(odrl, tel, budget, env.CadenceEpochs)
+	maxbipsLat := timeDecide(maxbips, tel, budget, env.CadenceEpochs)
 	speedup := float64(maxbipsLat) / float64(odrlLat)
 	threshold := 50.0 // within striking distance of 100x at 256 cores
 	if cfg.Quick {

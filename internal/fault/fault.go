@@ -276,12 +276,12 @@ func NewInjector(plan Plan, cores int, totalS float64, runSeed uint64) (*Injecto
 		seed = runSeed ^ faultSeedTag
 	}
 	inj := &Injector{
-		plan:    plan,
-		r:       rng.New(seed),
-		cores:   cores,
-		last:    make([]manycore.CoreTelemetry, cores),
-		dead:    make([]bool, cores),
-		deadAtS: make([]float64, cores),
+		plan:           plan,
+		r:              rng.New(seed),
+		cores:          cores,
+		last:           make([]manycore.CoreTelemetry, cores),
+		dead:           make([]bool, cores),
+		deadAtS:        make([]float64, cores),
 		blackoutUntilS: math.Inf(-1),
 		budgetUntilS:   math.Inf(-1),
 	}

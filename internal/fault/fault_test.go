@@ -32,8 +32,8 @@ func TestPlanValidate(t *testing.T) {
 		{BlackoutRatePerS: 1}, // rate without duration
 		{BlackoutDurS: -0.1},
 		{BudgetDropRatePerS: -1},
-		{BudgetDropRatePerS: 1},                       // rate without frac/duration
-		{BudgetDropRatePerS: 1, BudgetDropFrac: 0.5},  // still no duration
+		{BudgetDropRatePerS: 1},                      // rate without frac/duration
+		{BudgetDropRatePerS: 1, BudgetDropFrac: 0.5}, // still no duration
 		{BudgetDropFrac: 1},
 		{BudgetDropFrac: -0.1},
 		{BudgetDropDurS: -1},

@@ -1,7 +1,7 @@
 // Package instrument is the one place a command turns its observability
-// flags into live instruments: the JSONL tracer and debug endpoint, the
-// run-health monitor, the learning-introspection layer and the run-ledger
-// session with its flight recorder. Register declares the shared flag
+// flags into live instruments: the JSONL tracer, the run-health monitor,
+// the learning-introspection layer and the run-ledger session with its
+// flight recorder. Register declares the shared flag
 // family; Start opens what the flags ask for and installs it as the sim
 // package's default hooks; Session.Close undoes all of it.
 package instrument
@@ -25,7 +25,6 @@ import (
 type Flags struct {
 	TraceEvents   string
 	TraceEvery    int
-	DebugAddr     string
 	Monitor       bool
 	AlertRules    string
 	Perfetto      string
@@ -41,8 +40,7 @@ func Register(fs *flag.FlagSet, traceEveryDefault int) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.TraceEvents, "trace-events", "", "write structured JSONL epoch events for every run to this file ('-' for stdout)")
 	fs.IntVar(&f.TraceEvery, "trace-every", traceEveryDefault, "sample every Nth epoch in -trace-events output")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/obs and /debug/pprof on this address (e.g. localhost:6060)")
-	fs.BoolVar(&f.Monitor, "monitor", false, "enable the run-health monitor: time series, quantile sketches, claim-invariant alerts, summary on exit")
+	fs.BoolVar(&f.Monitor, "monitor", false, "enable the run-health monitor: decide-latency and overshoot quantiles, claim-invariant alerts, summary on exit")
 	fs.StringVar(&f.AlertRules, "alert-rules", "", "alert rules JSON file (implies -monitor; default rules derive from each run's budget)")
 	fs.StringVar(&f.Perfetto, "perfetto", "", "write controller phase spans as Perfetto trace-event JSON to this file on exit (implies -monitor)")
 	fs.BoolVar(&f.Learn, "learn", false, "enable learning introspection: per-agent TD-error/epsilon/churn telemetry, convergence detection, summary on exit")
@@ -71,9 +69,7 @@ type Session struct {
 	Ledger *ledger.CLI
 
 	stderr   io.Writer
-	registry *obs.Registry
 	tracer   *obs.Tracer
-	debug    *obs.DebugServer
 	monitor  *monitor.Monitor
 	perfetto string
 	learn    *learn.Layer
@@ -125,7 +121,7 @@ func Start(tool string, args []string, f *Flags, stderr io.Writer) (*Session, er
 		}
 	}
 
-	s := &Session{stderr: stderr, registry: obs.NewRegistry(), perfetto: f.Perfetto}
+	s := &Session{stderr: stderr, perfetto: f.Perfetto}
 	if tracePath != "" {
 		var w io.Writer
 		if tracePath == "-" {
@@ -138,38 +134,13 @@ func Start(tool string, args []string, f *Flags, stderr io.Writer) (*Session, er
 			}
 			w = tf
 		}
-		s.tracer = obs.NewTracer(obs.NewWriterSink(w), obs.TracerOptions{Every: traceEvery, Registry: s.registry})
-	} else if f.DebugAddr != "" {
-		// Debug endpoint without a trace file: feed the tracer to a discard
-		// sink so /debug/obs still shows live counters and the decide-latency
-		// histogram instead of an empty registry.
-		s.tracer = obs.NewTracer(obs.NewWriterSink(io.Discard), obs.TracerOptions{Every: traceEvery, Registry: s.registry})
-	}
-	if f.DebugAddr != "" {
-		d, err := obs.StartDebug(f.DebugAddr, s.registry)
-		if err != nil {
-			s.closeTracer() //nolint:errcheck // already failing
-			return nil, err
-		}
-		s.debug = d
+		s.tracer = obs.NewTracer(obs.NewWriterSink(w), obs.TracerOptions{Every: traceEvery})
 	}
 	if monitorOn {
-		s.monitor = monitor.New(monitor.Options{Rules: rules, Registry: s.registry})
-		if s.debug != nil {
-			s.debug.Handle("/debug/live", s.monitor.LiveHandler())
-			s.debug.Handle("/debug/timeline", s.monitor.TimelineHandler())
-			s.debug.Handle("/debug/health", s.monitor.HealthHandler())
-		}
+		s.monitor = monitor.New(monitor.Options{Rules: rules})
 	}
 	if learnOn {
-		s.learn = learn.New(learn.Options{
-			SnapshotEvery: f.SnapshotEvery,
-			ArtifactDir:   f.Artifacts,
-			Registry:      s.registry,
-		})
-		if s.debug != nil {
-			s.debug.Handle("/debug/learn", learn.DebugHandler(s.learn))
-		}
+		s.learn = learn.New(learn.Options{SnapshotEvery: f.SnapshotEvery, ArtifactDir: f.Artifacts})
 	}
 	s.Ledger = f.Ledger.Start(tool, args)
 
@@ -185,27 +156,12 @@ func Start(tool string, args []string, f *Flags, stderr io.Writer) (*Session, er
 	return s, nil
 }
 
-// WriteDecideQuantiles renders the decide-latency distribution collected
-// by the tracer's obs.trace.decide_ns histogram — p50/p95/p99, a strictly
-// more honest companion to the mean-based phase-breakdown table (tail
-// latency is what the real-time feasibility claim is about). Writes
-// nothing when no samples were traced.
-func (s *Session) WriteDecideQuantiles(w io.Writer) error {
-	h, ok := s.registry.Snapshot().Histograms["obs.trace.decide_ns"]
-	if !ok || h.Count == 0 {
-		return nil
-	}
-	_, err := fmt.Fprintf(w, "\ndecide latency (us): p50 %.1f  p95 %.1f  p99 %.1f  mean %.1f  (n=%d)\n",
-		h.Quantile(0.50)/1e3, h.Quantile(0.95)/1e3, h.Quantile(0.99)/1e3, h.Mean()/1e3, h.Count)
-	return err
-}
-
 // Close ends the session: it finishes the ledger record with runErr,
 // restores every sim default hook Start replaced, writes the learn and
 // monitor summaries (and the Perfetto file) to the Start stderr, and
-// closes the tracer and debug server. Instrument failures are reported to
-// stderr as warnings, never as the run's failure: bookkeeping must not
-// take down the work it documents.
+// closes the tracer. Instrument failures are reported to stderr as
+// warnings, never as the run's failure: bookkeeping must not take down
+// the work it documents.
 func (s *Session) Close(runErr error) {
 	s.Ledger.Finish(runErr)
 	sim.DefaultObserver, sim.DefaultSpanSink = s.prevObserver, s.prevSpanSink
@@ -221,9 +177,8 @@ func (s *Session) Close(runErr error) {
 		}
 		errs = append(errs, s.monitor.WriteAlertSummary(s.stderr))
 	}
-	errs = append(errs, s.closeTracer())
-	if s.debug != nil {
-		errs = append(errs, s.debug.Close())
+	if s.tracer != nil {
+		errs = append(errs, s.tracer.Close())
 	}
 	if err := errors.Join(errs...); err != nil {
 		fmt.Fprintln(s.stderr, "warning:", err) //nolint:errcheck // best-effort diagnostic
@@ -235,7 +190,7 @@ func (s *Session) Close(runErr error) {
 func (s *Session) writeLearnSummary() error {
 	var first error
 	for _, r := range s.learn.Runs() {
-		sum := r.Summarize(false)
+		sum := r.Summarize()
 		if sum.Epochs == 0 {
 			continue
 		}
@@ -265,11 +220,4 @@ func (s *Session) writePerfetto() error {
 		return fmt.Errorf("monitor: perfetto trace: %w", err)
 	}
 	return nil
-}
-
-func (s *Session) closeTracer() error {
-	if s.tracer == nil {
-		return nil
-	}
-	return s.tracer.Close()
 }

@@ -40,27 +40,6 @@ func BenchmarkObsDecimatedMiss(b *testing.B) {
 	benchSampled = n
 }
 
-// BenchmarkObsCounterInc measures the registry's hot recording path.
-func BenchmarkObsCounterInc(b *testing.B) {
-	c := NewRegistry().Counter("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-// BenchmarkObsHistogramObserve measures lock-free bucket recording.
-func BenchmarkObsHistogramObserve(b *testing.B) {
-	h, err := NewHistogram([]float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i % 1000000))
-	}
-}
-
 // BenchmarkObsTracerSampled measures the full emit path (marshal + sink)
 // for one sampled epoch, the upper bound a traced run pays per sample.
 func BenchmarkObsTracerSampled(b *testing.B) {

@@ -2,66 +2,9 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 )
-
-// TestRegistryConcurrentEmitters hammers get-or-create and recording from
-// many goroutines; run under -race this is the registry's concurrency gate.
-func TestRegistryConcurrentEmitters(t *testing.T) {
-	r := NewRegistry()
-	const (
-		goroutines = 16
-		iters      = 500
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				// Shared names contend on get-or-create; per-goroutine names
-				// exercise concurrent map growth.
-				r.Counter("shared.ops").Inc()
-				r.Counter(fmt.Sprintf("own.%d", g)).Add(2)
-				r.Gauge("shared.gauge").Set(float64(i))
-				h, err := r.Histogram("shared.hist", []float64{1, 10, 100})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				h.Observe(float64(i % 128))
-				if i%50 == 0 {
-					r.Snapshot()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	s := r.Snapshot()
-	if got := s.Counters["shared.ops"]; got != goroutines*iters {
-		t.Fatalf("shared.ops = %d, want %d", got, goroutines*iters)
-	}
-	for g := 0; g < goroutines; g++ {
-		if got := s.Counters[fmt.Sprintf("own.%d", g)]; got != 2*iters {
-			t.Fatalf("own.%d = %d, want %d", g, got, 2*iters)
-		}
-	}
-	h := s.Histograms["shared.hist"]
-	if h.Count != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", h.Count, goroutines*iters)
-	}
-	var bucketTotal int64
-	for _, c := range h.Counts {
-		bucketTotal += c
-	}
-	if bucketTotal != h.Count {
-		t.Fatalf("bucket total %d != count %d", bucketTotal, h.Count)
-	}
-}
 
 // TestTracerParallelEmitters hammers one Tracer with concurrent runs, each
 // emitting epochs from its own goroutine, plus concurrent emitters within a
@@ -69,8 +12,7 @@ func TestRegistryConcurrentEmitters(t *testing.T) {
 // accounting.
 func TestTracerParallelEmitters(t *testing.T) {
 	var buf bytes.Buffer
-	reg := NewRegistry()
-	tr := NewTracer(NewWriterSink(&buf), TracerOptions{Registry: reg})
+	tr := NewTracer(NewWriterSink(&buf), TracerOptions{})
 
 	const (
 		runs      = 8
@@ -134,12 +76,5 @@ func TestTracerParallelEmitters(t *testing.T) {
 	}
 	if starts != runs || ends != runs {
 		t.Fatalf("got %d starts / %d ends, want %d each", starts, ends, runs)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["obs.trace.runs"]; got != runs {
-		t.Fatalf("obs.trace.runs = %d, want %d", got, runs)
-	}
-	if got := snap.Counters["obs.trace.samples"]; got != runs*epochs {
-		t.Fatalf("obs.trace.samples = %d, want %d", got, runs*epochs)
 	}
 }

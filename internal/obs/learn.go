@@ -42,7 +42,8 @@ type LearnCoreSample struct {
 // is called from the harness's sequential loop (the controller's Decide) —
 // once per control epoch, or once per EmitEvery epochs when the sink asks
 // for a stride — so implementations see samples in epoch order on one
-// goroutine; they still guard shared state against concurrent HTTP readers.
+// goroutine; they still guard shared state against concurrent summary
+// readers.
 type LearnSink interface {
 	ObserveLearnEpoch(samples []LearnCoreSample)
 }

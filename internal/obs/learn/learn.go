@@ -2,11 +2,11 @@
 // streaming per-agent telemetry (TD-error magnitude, exploration rate,
 // greedy-policy churn, Q-value spread, visit-count coverage) aggregated per
 // island and chip, an online convergence detector emitting `converged`
-// trace events, periodic content-addressed policy snapshots, and a
-// /debug/learn read surface. It consumes the obs.LearnSink sample stream a
-// learning controller exposes through ctrl.LearnStreamer and never
-// influences it: decision streams are bit-identical with the layer on or
-// off (proven by the golden-table tests in internal/experiments).
+// trace events, and periodic content-addressed policy snapshots. It
+// consumes the obs.LearnSink sample stream a learning controller exposes
+// through ctrl.LearnStreamer and never influences it: decision streams are
+// bit-identical with the layer on or off (proven by the golden-table tests
+// in internal/experiments).
 package learn
 
 import (
@@ -75,11 +75,6 @@ type Options struct {
 	// ArtifactDir is the root directory for per-run snapshot artifacts;
 	// empty disables snapshots.
 	ArtifactDir string
-	// SeriesCap bounds the /debug/learn learning-curve series (default
-	// monitor.DefaultSeriesCap).
-	SeriesCap int
-	// Registry, when set, receives obs.learn.* counters.
-	Registry *obs.Registry
 }
 
 // Layer owns learning introspection across runs; one Layer may watch many
@@ -87,9 +82,6 @@ type Options struct {
 type Layer struct {
 	opt    Options
 	runIDs atomic.Int64
-
-	runCtr  *obs.Counter
-	convCtr *obs.Counter
 
 	mu   sync.Mutex
 	runs []*Run
@@ -101,15 +93,7 @@ func New(opt Options) *Layer {
 	if opt.EmitEvery <= 0 {
 		opt.EmitEvery = DefaultEmitEvery
 	}
-	if opt.SeriesCap <= 0 {
-		opt.SeriesCap = monitor.DefaultSeriesCap
-	}
-	l := &Layer{opt: opt}
-	if r := opt.Registry; r != nil {
-		l.runCtr = r.Counter("obs.learn.runs")
-		l.convCtr = r.Counter("obs.learn.converged")
-	}
-	return l
+	return &Layer{opt: opt}
 }
 
 // BeginRun starts introspection for one run. islandOf maps core index to
@@ -118,16 +102,12 @@ func New(opt Options) *Layer {
 // attach to the controller.
 func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 	r := &Run{
-		layer:     l,
 		id:        l.runIDs.Add(1),
 		meta:      meta,
 		det:       l.opt.Detector,
 		emitEvery: l.opt.EmitEvery,
 		islandOf:  islandOf,
 		sketch:    monitor.NewSketch(),
-		tdSeries:  monitor.NewSeries("learn.td_ema", l.opt.SeriesCap),
-		chSeries:  monitor.NewSeries("learn.churn", l.opt.SeriesCap),
-		cvSeries:  monitor.NewSeries("learn.converged_frac", l.opt.SeriesCap),
 	}
 	if islands > 0 && islandOf != nil {
 		r.islandEMA = make([]float64, islands)
@@ -136,9 +116,6 @@ func (l *Layer) BeginRun(meta obs.RunMeta, islandOf []int32, islands int) *Run {
 	}
 	if l.opt.ArtifactDir != "" {
 		r.snap = newSnapshotter(l.opt.ArtifactDir, l.opt.SnapshotEvery, meta)
-	}
-	if l.runCtr != nil {
-		l.runCtr.Inc()
 	}
 	l.mu.Lock()
 	l.runs = append(l.runs, r)
@@ -154,10 +131,9 @@ func (l *Layer) Runs() []*Run {
 }
 
 // Run accumulates one run's learning telemetry. Writes arrive from the
-// simulation loop (one goroutine); reads may come concurrently from HTTP
-// handlers, so all state is mutex-guarded.
+// simulation loop (one goroutine); reads may come concurrently from
+// summary readers, so all state is mutex-guarded.
 type Run struct {
-	layer     *Layer
 	id        int64
 	meta      obs.RunMeta
 	det       Detector
@@ -182,11 +158,8 @@ type Run struct {
 	coverage   float64
 	epsilon    float64
 
-	// Streaming |δ| distribution and bounded learning-curve series.
-	sketch   *monitor.Sketch
-	tdSeries *monitor.Series
-	chSeries *monitor.Series
-	cvSeries *monitor.Series
+	// Streaming |δ| distribution.
+	sketch *monitor.Sketch
 
 	// Per-island |δ| EMA; islandSum/islandCnt are per-epoch scratch.
 	islandOf  []int32
@@ -288,9 +261,6 @@ func (r *Run) ObserveLearnEpoch(samples []obs.LearnCoreSample) {
 		if r.convergedAt[i] < 0 && r.stableFor[i] >= r.det.StableEpochs && r.tdEMA[i] <= r.det.TDThreshold {
 			r.convergedAt[i] = r.epochs
 			r.converged++
-			if c := r.layer.convCtr; c != nil {
-				c.Inc()
-			}
 			r.pending = append(r.pending, obs.ConvergedEvent{
 				Core:             i,
 				EpochsToConverge: r.epochs,
@@ -339,10 +309,6 @@ func (r *Run) ObserveLearnEpoch(samples []obs.LearnCoreSample) {
 			r.islandEMA[i] = a*inst + (1-a)*r.islandEMA[i]
 		}
 	}
-
-	r.tdSeries.Append(r.chipTD)
-	r.chSeries.Append(r.churn)
-	r.cvSeries.Append(r.convergedFracLocked())
 }
 
 // convergedFracLocked is the converged share of live agents; callers hold mu.
@@ -470,8 +436,8 @@ func (r *Run) Err() error {
 	return r.snap.err()
 }
 
-// Summary is a point-in-time copy of one run's learning state for the
-// /debug/learn surface and end-of-run reports.
+// Summary is a point-in-time copy of one run's learning state for
+// end-of-run reports.
 type Summary struct {
 	Run           int64       `json:"run"`
 	Meta          obs.RunMeta `json:"meta"`
@@ -491,15 +457,10 @@ type Summary struct {
 	QSpread             float64   `json:"q_spread"`
 	IslandTDEMA         []float64 `json:"island_td_ema,omitempty"`
 	Done                bool      `json:"done"`
-
-	// Curves are the bounded learning-curve series (td_ema, churn,
-	// converged_frac).
-	Curves []monitor.SeriesSnapshot `json:"curves,omitempty"`
 }
 
-// Summarize copies the run's current state. withCurves attaches the series
-// snapshots (the HTTP surface wants them; table writers don't).
-func (r *Run) Summarize(withCurves bool) Summary {
+// Summarize copies the run's current state.
+func (r *Run) Summarize() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Summary{
@@ -521,11 +482,6 @@ func (r *Run) Summarize(withCurves bool) Summary {
 	s.EpochsToConvergeP50 = medianConverged(r.convergedAt)
 	if r.islandEMA != nil {
 		s.IslandTDEMA = append([]float64(nil), r.islandEMA...)
-	}
-	if withCurves {
-		s.Curves = []monitor.SeriesSnapshot{
-			r.tdSeries.Snapshot(), r.chSeries.Snapshot(), r.cvSeries.Snapshot(),
-		}
 	}
 	return s
 }

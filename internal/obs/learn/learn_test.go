@@ -1,8 +1,6 @@
 package learn
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -50,7 +48,7 @@ func TestDetectorConvergence(t *testing.T) {
 		t.Fatalf("EpochsToConverge = %d, want 3", events[0].EpochsToConverge)
 	}
 
-	s := r.Summarize(false)
+	s := r.Summarize()
 	if s.Converged != 1 || s.LiveAgents != 2 {
 		t.Fatalf("summary converged/live = %d/%d, want 1/2", s.Converged, s.LiveAgents)
 	}
@@ -78,7 +76,7 @@ func TestHighTDErrorBlocksConvergence(t *testing.T) {
 		push(r, []obs.LearnCoreSample{sample(5.0, false)})
 	}
 	r.DrainConverged(func(*obs.ConvergedEvent) { t.Fatal("converged despite high TD error") })
-	if s := r.Summarize(false); s.Converged != 0 {
+	if s := r.Summarize(); s.Converged != 0 {
 		t.Fatalf("converged = %d, want 0", s.Converged)
 	}
 }
@@ -89,7 +87,7 @@ func TestDeadCoresExcluded(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		push(r, []obs.LearnCoreSample{sample(0.01, false), {Dead: true}})
 	}
-	s := r.Summarize(false)
+	s := r.Summarize()
 	if s.LiveAgents != 1 {
 		t.Fatalf("live agents = %d, want 1", s.LiveAgents)
 	}
@@ -149,35 +147,12 @@ func TestFillEventAndLearnEvent(t *testing.T) {
 	}
 }
 
-func TestDebugHandler(t *testing.T) {
-	l := New(Options{Detector: fastDetector()})
-	r := l.BeginRun(obs.RunMeta{Controller: "od-rl"}, nil, 0)
-	for e := 0; e < 4; e++ {
-		push(r, []obs.LearnCoreSample{sample(0.05, false)})
-	}
-	rec := httptest.NewRecorder()
-	DebugHandler(l).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/learn", nil))
-	var body struct {
-		Runs []Summary `json:"runs"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("invalid /debug/learn JSON: %v", err)
-	}
-	if len(body.Runs) != 1 || body.Runs[0].Epochs != 4 {
-		t.Fatalf("unexpected /debug/learn payload: %+v", body)
-	}
-	if len(body.Runs[0].Curves) != 3 {
-		t.Fatalf("got %d curves, want 3", len(body.Runs[0].Curves))
-	}
-}
-
-// TestLearnStoreRace is the race hammer: concurrent /debug/learn readers
-// and Summarize calls while the write path streams epochs. Run under
+// TestLearnStoreRace is the race hammer: concurrent run-list readers and
+// Summarize calls while the write path streams epochs. Run under
 // -race (the race-learn make target).
 func TestLearnStoreRace(t *testing.T) {
 	l := New(Options{Detector: fastDetector()})
 	r := l.BeginRun(obs.RunMeta{Controller: "od-rl"}, []int32{0, 0, 0, 0}, 1)
-	h := DebugHandler(l)
 
 	const epochs = 2000
 	var wg sync.WaitGroup
@@ -192,9 +167,9 @@ func TestLearnStoreRace(t *testing.T) {
 					return
 				default:
 				}
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/learn", nil))
-				_ = r.Summarize(true)
+				for _, lr := range l.Runs() {
+					_ = lr.Summarize()
+				}
 				_ = r.ConvergedEpochs()
 				var ev obs.EpochEvent
 				r.FillEvent(&ev)
@@ -212,7 +187,7 @@ func TestLearnStoreRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if s := r.Summarize(false); s.Epochs != epochs {
+	if s := r.Summarize(); s.Epochs != epochs {
 		t.Fatalf("epochs = %d, want %d", s.Epochs, epochs)
 	}
 }

@@ -87,9 +87,14 @@ func TestCLIContract(t *testing.T) {
 }
 
 // TestToolRegistryMatchesCmdTree pins the registry to the cmd/ tree:
-// every binary except odrl-obs writes run records, and a new cmd must
-// either register or be exempted here explicitly.
+// every binary that runs simulations or workloads writes run records, and
+// a new cmd must either register or be exempted here explicitly.
 func TestToolRegistryMatchesCmdTree(t *testing.T) {
+	readOnlyTools := map[string]string{
+		"odrl-obs":     "it reads the ledger (watching the watcher adds a record per query)",
+		"odrl-vet":     "it analyses source and runs no simulation",
+		"odrl-inspect": "it reads artifact directories and runs no simulation",
+	}
 	entries, err := os.ReadDir("../../../cmd")
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +110,9 @@ func TestToolRegistryMatchesCmdTree(t *testing.T) {
 		}
 		name := e.Name()
 		seen[name] = true
-		if name == "odrl-obs" {
-			// The observatory reads the ledger; it records no runs about
-			// itself (watching the watcher adds a record per query).
+		if reason, ok := readOnlyTools[name]; ok {
 			if IsRegisteredTool(name) {
-				t.Fatalf("odrl-obs must not be a ledger-writing tool")
+				t.Fatalf("%s must not be a ledger-writing tool: %s", name, reason)
 			}
 			continue
 		}

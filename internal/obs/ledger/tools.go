@@ -1,20 +1,19 @@
 package ledger
 
 // RegisteredTools is the closed set of CLI commands that append run
-// records. Every cmd/ binary except odrl-obs (the observatory reads the
-// ledger; it does not write run records about itself) must be listed
-// here, and the contract test in this package walks cmd/ to prove the
-// registry and the tree never drift apart.
+// records: the ones that run simulations or workloads. odrl-obs (reads
+// the ledger), odrl-vet (analyses source) and odrl-inspect (reads
+// recorded artifacts) run neither and write no records; the contract test
+// in this package walks cmd/ to prove the registry and the tree never
+// drift apart.
 func RegisteredTools() []string {
 	return []string{
 		"odrl",
 		"odrl-bench",
-		"odrl-inspect",
 		"odrl-run",
 		"odrl-sweep",
 		"odrl-trace",
 		"odrl-verify",
-		"odrl-vet",
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 )
 
 // BenchmarkObserveEpoch measures the monitor's full per-epoch path — frame
-// fill, two sketch observations, store append, rule evaluation, idle live
-// hub — which is the cost `make bench-monitor` bounds at
+// fill, two sketch observations and rule evaluation — which is the cost `make bench-monitor` bounds at
 // experiments.MonitorOverheadMaxPct (5%) of the epoch loop. Must stay
 // allocation-free.
 func BenchmarkObserveEpoch(b *testing.B) {

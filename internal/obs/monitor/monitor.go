@@ -1,3 +1,9 @@
+// Package monitor is the streaming run-health layer on top of package obs:
+// O(1) quantile sketches, a declarative alert-rules engine evaluating
+// paper-claim invariants online, a controller phase-span timeline for
+// Perfetto export, and an end-of-run alert summary. It observes simulation
+// runs through the standard obs.Observer chain and never influences them:
+// simulation output is bit-identical with monitoring on or off.
 package monitor
 
 import (
@@ -24,9 +30,9 @@ const ipsEMAAlpha = 0.05
 // consecutive-epoch window.
 const overshootEMAAlpha = 0.1
 
-// p99RefreshEpochs is how often the decide_p99_ns derived metric (and its
-// exported gauge) is recomputed from the sketch; quantile queries walk the
-// bucket array, so refreshing on a stride keeps the per-epoch cost O(1).
+// p99RefreshEpochs is how often the decide_p99_ns derived metric is
+// recomputed from the sketch; quantile queries walk the bucket array, so
+// refreshing on a stride keeps the per-epoch cost O(1).
 const p99RefreshEpochs = 16
 
 // Options configures a Monitor.
@@ -34,68 +40,30 @@ type Options struct {
 	// Rules is the alert rule set evaluated for every run. Empty installs
 	// DefaultRules derived from each run's own budget and epoch length.
 	Rules []Rule
-	// SeriesCap bounds each time series' point count (default
-	// DefaultSeriesCap).
-	SeriesCap int
 	// TimelineCap bounds the retained phase spans (default
 	// DefaultTimelineCap).
 	TimelineCap int
-	// Registry, when set, receives monitor aggregates: alert/fault/epoch
-	// counters and live gauges for the last observed epoch, so /metrics
-	// exports them.
-	Registry *obs.Registry
 }
 
 // Monitor is the run-health layer: an obs.Observer that feeds every run's
-// epoch stream into bounded time series, quantile sketches and the alert
-// engine, keeps a span timeline for Perfetto export, and serves live HTTP
-// views. It is safe for concurrent runs and never mutates what it
-// observes, so simulation results are bit-identical with or without it.
+// epoch stream into quantile sketches and the alert engine, and keeps a
+// span timeline for Perfetto export. It is safe for concurrent runs and
+// never mutates what it observes, so simulation results are bit-identical
+// with or without it.
 type Monitor struct {
 	opt      Options
 	timeline *Timeline
-	live     *liveHub
 
 	mu   sync.Mutex
 	runs []*RunHealth // completed and active runs, in BeginRun order
-
-	// Registry handles (nil when no registry is attached).
-	alertCtr   *obs.Counter
-	faultCtr   *obs.Counter
-	epochCtr   *obs.Counter
-	runCtr     *obs.Counter
-	powerG     *obs.Gauge
-	budgetG    *obs.Gauge
-	overshootG *obs.Gauge
-	ipsG       *obs.Gauge
-	decideP99G *obs.Gauge
 }
 
 // New builds a monitor.
 func New(opt Options) *Monitor {
-	if opt.SeriesCap <= 0 {
-		opt.SeriesCap = DefaultSeriesCap
-	}
 	if opt.TimelineCap <= 0 {
 		opt.TimelineCap = DefaultTimelineCap
 	}
-	m := &Monitor{
-		opt:      opt,
-		timeline: NewTimeline(opt.TimelineCap),
-		live:     newLiveHub(),
-	}
-	if r := opt.Registry; r != nil {
-		m.alertCtr = r.Counter("monitor.alerts_fired")
-		m.faultCtr = r.Counter("monitor.faults_seen")
-		m.epochCtr = r.Counter("monitor.epochs")
-		m.runCtr = r.Counter("monitor.runs")
-		m.powerG = r.Gauge("monitor.power_w")
-		m.budgetG = r.Gauge("monitor.budget_w")
-		m.overshootG = r.Gauge("monitor.overshoot_w")
-		m.ipsG = r.Gauge("monitor.ips")
-		m.decideP99G = r.Gauge("monitor.decide_p99_ns")
-	}
-	return m
+	return &Monitor{opt: opt, timeline: NewTimeline(opt.TimelineCap)}
 }
 
 // Timeline returns the monitor's phase-span timeline (the obs.SpanSink the
@@ -117,8 +85,6 @@ type RunHealth struct {
 	// latency in ns, per-epoch overshoot in W).
 	Decide    *Sketch
 	Overshoot *Sketch
-	// Store holds the run's bounded time series.
-	Store *Store
 	// Done marks the run ended.
 	Done bool
 }
@@ -152,21 +118,16 @@ func (m *Monitor) beginRun(meta obs.RunMeta, next obs.RunObserver) obs.RunObserv
 		Meta:      meta,
 		Decide:    NewSketch(),
 		Overshoot: NewSketch(),
-		Store:     NewStore(m.opt.SeriesCap),
 	}
 	m.mu.Lock()
 	h.ID = len(m.runs) + 1
 	m.runs = append(m.runs, h)
 	m.mu.Unlock()
-	if m.runCtr != nil {
-		m.runCtr.Inc()
-	}
 	return &monitorRun{m: m, h: h, next: next, eng: eng}
 }
 
-// Runs snapshots the per-run health records (shallow copies: sketches and
-// stores are shared, so callers must treat them as read-only once the run
-// is done).
+// Runs snapshots the per-run health records (shallow copies: sketches are
+// shared, so callers must treat them as read-only once the run is done).
 func (m *Monitor) Runs() []RunHealth {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -332,13 +293,13 @@ func (r *monitorRun) WantsEpochDetail(epoch int) bool {
 }
 
 // ObserveEpoch implements obs.RunObserver. Allocation-free on the steady
-// path: series, sketches and the metric frame are all preallocated.
+// path: the sketches and the metric frame are preallocated.
 //
 //odrl:hotpath
 func (r *monitorRun) ObserveEpoch(ev *obs.EpochEvent) {
 	r.epochs++
 
-	// Raw frame slots, in storeMetrics order.
+	// Raw frame slots, in rawMetrics order.
 	r.frame[0] = ev.PowerW
 	r.frame[1] = ev.BudgetW
 	r.frame[2] = ev.IPS
@@ -371,33 +332,20 @@ func (r *monitorRun) ObserveEpoch(ev *obs.EpochEvent) {
 	}
 	if r.epochs%p99RefreshEpochs == 1 {
 		r.p99Ns = r.h.Decide.Quantile(0.99)
-		if g := r.m.decideP99G; g != nil {
-			g.Set(r.p99Ns)
-		}
 	}
-	r.frame[len(storeMetrics)] = overshootFrac
-	r.frame[len(storeMetrics)+1] = r.emaOvershoot
-	r.frame[len(storeMetrics)+2] = ipsVsPeak
-	r.frame[len(storeMetrics)+3] = r.p99Ns
+	r.frame[len(rawMetrics)] = overshootFrac
+	r.frame[len(rawMetrics)+1] = r.emaOvershoot
+	r.frame[len(rawMetrics)+2] = ipsVsPeak
+	r.frame[len(rawMetrics)+3] = r.p99Ns
 	// learn.* slots: zero unless the run carries learning introspection
 	// (the event fields are filled by obs/learn), so learn rules never fire
 	// on unintrospected runs.
-	r.frame[len(storeMetrics)+4] = ev.LearnTDEMA
-	r.frame[len(storeMetrics)+5] = ev.LearnChurn
-	r.frame[len(storeMetrics)+6] = ev.LearnConvergedFrac
-	r.frame[len(storeMetrics)+7] = ev.LearnEpsilon
+	r.frame[len(rawMetrics)+4] = ev.LearnTDEMA
+	r.frame[len(rawMetrics)+5] = ev.LearnChurn
+	r.frame[len(rawMetrics)+6] = ev.LearnConvergedFrac
+	r.frame[len(rawMetrics)+7] = ev.LearnEpsilon
 
-	r.h.Store.Append((*[len(storeMetrics)]float64)(r.frame[:len(storeMetrics)]))
 	r.eng.eval(&r.frame, ev.Epoch, ev.TimeS, r.fire)
-
-	if m := r.m; m.epochCtr != nil {
-		m.epochCtr.Inc()
-		m.powerG.Set(ev.PowerW)
-		m.budgetG.Set(ev.BudgetW)
-		m.overshootG.Set(ev.OvershootW)
-		m.ipsG.Set(ev.IPS)
-	}
-	r.m.live.publish(r.h.ID, r.h.Meta.Controller, ev)
 
 	if r.nextWants {
 		r.next.ObserveEpoch(ev)
@@ -415,13 +363,9 @@ func (r *monitorRun) fire(ev *obs.AlertEvent) {
 		r.h.Alerts = append(r.h.Alerts, *ev)
 	}
 	r.m.mu.Unlock()
-	if r.m.alertCtr != nil {
-		r.m.alertCtr.Inc()
-	}
 	if ao, ok := r.next.(obs.AlertObserver); ok {
 		ao.ObserveAlert(ev)
 	}
-	r.m.live.publishAlert(r.h.ID, r.h.Meta.Controller, ev)
 }
 
 // ObserveFault implements obs.FaultObserver.
@@ -430,9 +374,6 @@ func (r *monitorRun) ObserveFault(ev *obs.FaultEvent) {
 	r.m.mu.Lock()
 	r.h.Faults++
 	r.m.mu.Unlock()
-	if r.m.faultCtr != nil {
-		r.m.faultCtr.Inc()
-	}
 	if fo, ok := r.next.(obs.FaultObserver); ok {
 		fo.ObserveFault(ev)
 	}

@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"bytes"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -60,9 +62,6 @@ func TestWrapSeesEveryEpochAndHonoursNextStride(t *testing.T) {
 	runs := m.Runs()
 	if len(runs) != 1 || runs[0].Epochs != 100 || !runs[0].Done {
 		t.Fatalf("runs = %+v", runs)
-	}
-	if runs[0].Store.Snapshot()[0].Epochs != 100 {
-		t.Fatalf("store saw %d epochs, want all 100", runs[0].Store.Snapshot()[0].Epochs)
 	}
 	if rec.sampled != 25 {
 		t.Fatalf("downstream saw %d epochs, want 25 (its own stride)", rec.sampled)
@@ -139,25 +138,86 @@ func TestCustomRulesReplaceDefaults(t *testing.T) {
 	}
 }
 
-func TestRegistryAggregates(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := New(Options{Registry: reg})
-	ro := m.BeginRun(testMeta)
+// TestRunHealthCounts checks the per-run fault and epoch counts and the
+// forwarding of faults to the chained observer.
+func TestRunHealthCounts(t *testing.T) {
+	rec := &recObserver{stride: 1}
+	m := New(Options{})
+	ro := m.Wrap(rec).BeginRun(testMeta)
 	ro.(obs.FaultObserver).ObserveFault(&obs.FaultEvent{Epoch: 0, Kind: "core_dead"})
 	feedEpochs(ro, 10, nil)
 
-	snap := reg.Snapshot()
-	want := map[string]int64{"monitor.epochs": 10, "monitor.runs": 1, "monitor.faults_seen": 1}
-	for name, v := range want {
-		if got := snap.Counters[name]; got != v {
-			t.Errorf("counter %s = %d, want %d", name, got, v)
+	h := m.Runs()[0]
+	if h.Faults != 1 || h.Epochs != 10 || h.Decide.Count() != 10 {
+		t.Fatalf("run health = faults %d epochs %d decide samples %d, want 1/10/10",
+			h.Faults, h.Epochs, h.Decide.Count())
+	}
+	if rec.faults != 1 {
+		t.Fatalf("chained observer saw %d faults, want 1", rec.faults)
+	}
+}
+
+// TestMonitorConcurrentRuns drives several runs through one Monitor at
+// once, each on its own goroutine and each firing alerts, while readers
+// poll Runs and AlertsFired. Run under -race (make race-monitor) it is the
+// monitor's concurrency gate; the final counts must be exact.
+func TestMonitorConcurrentRuns(t *testing.T) {
+	const (
+		runs   = 6
+		epochs = 400
+	)
+	m := New(Options{})
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ro := m.Wrap(&recObserver{stride: 8}).BeginRun(testMeta)
+			ro.(obs.FaultObserver).ObserveFault(&obs.FaultEvent{Epoch: 0, Kind: "core_dead"})
+			// A NaN power reading every 100th epoch fires nan-telemetry
+			// once per episode.
+			feedEpochs(ro, epochs, func(e int, ev *obs.EpochEvent) {
+				if e%100 == 50 {
+					ev.PowerW = math.NaN()
+				}
+			})
+		}()
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, h := range m.Runs() {
+					_ = h.Epochs + h.Faults + h.AlertCount + len(h.Alerts)
+				}
+				_ = m.AlertsFired()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	got := m.Runs()
+	if len(got) != runs {
+		t.Fatalf("%d runs recorded, want %d", len(got), runs)
+	}
+	for _, h := range got {
+		if !h.Done || h.Epochs != epochs || h.Faults != 1 || h.AlertCount != epochs/100 {
+			t.Fatalf("run %d: done %v epochs %d faults %d alerts %d, want true/%d/1/%d",
+				h.ID, h.Done, h.Epochs, h.Faults, h.AlertCount, epochs, epochs/100)
 		}
 	}
-	if got := snap.Gauges["monitor.power_w"]; got != 80 {
-		t.Errorf("gauge monitor.power_w = %g, want 80", got)
-	}
-	if m.Runs()[0].Faults != 1 {
-		t.Errorf("run faults = %d, want 1", m.Runs()[0].Faults)
+	if n := m.AlertsFired(); n != runs*epochs/100 {
+		t.Fatalf("AlertsFired = %d, want %d", n, runs*epochs/100)
 	}
 }
 

@@ -9,13 +9,31 @@ import (
 	"repro/internal/obs"
 )
 
-// Derived rule metrics, available to rules on top of the raw store metrics
-// (series.go): the overshoot as a fraction of the in-force budget (raw and
-// EWMA-smoothed — an oscillating controller alternates over/under every
-// epoch, so only the smoothed form can "hold" for consecutive epochs), the
-// smoothed chip throughput relative to its running peak (collapse
-// detection that survives workload phase noise), and the streaming p99 of
-// decide latency.
+// Raw rule metrics, read straight off each epoch event. They fill the
+// first slots of the per-epoch frame, in rawMetrics order.
+const (
+	MetricPowerW     = "power_w"
+	MetricBudgetW    = "budget_w"
+	MetricIPS        = "ips"
+	MetricOvershootW = "overshoot_w"
+	MetricDecideNs   = "decide_ns"
+	MetricFaults     = "faults"
+	MetricMaxTempK   = "max_temp_k"
+)
+
+// rawMetrics is the raw metric set in frame order (an array so
+// len(rawMetrics) is a compile-time constant for frame sizing).
+var rawMetrics = [...]string{
+	MetricPowerW, MetricBudgetW, MetricIPS, MetricOvershootW,
+	MetricDecideNs, MetricFaults, MetricMaxTempK,
+}
+
+// Derived rule metrics, available to rules on top of the raw ones: the
+// overshoot as a fraction of the in-force budget (raw and EWMA-smoothed —
+// an oscillating controller alternates over/under every epoch, so only the
+// smoothed form can "hold" for consecutive epochs), the smoothed chip
+// throughput relative to its running peak (collapse detection that
+// survives workload phase noise), and the streaming p99 of decide latency.
 const (
 	MetricOvershootFrac = "overshoot_frac"
 	MetricOvershootEMA  = "overshoot_frac_ema"
@@ -38,23 +56,23 @@ const (
 // per-epoch frame.
 var ruleMetricIndex = func() map[string]int {
 	m := make(map[string]int, nFrameMetrics)
-	for i, name := range storeMetrics {
+	for i, name := range rawMetrics {
 		m[name] = i
 	}
-	m[MetricOvershootFrac] = len(storeMetrics)
-	m[MetricOvershootEMA] = len(storeMetrics) + 1
-	m[MetricIPSVsPeak] = len(storeMetrics) + 2
-	m[MetricDecideP99Ns] = len(storeMetrics) + 3
-	m[MetricLearnTDEMA] = len(storeMetrics) + 4
-	m[MetricLearnChurn] = len(storeMetrics) + 5
-	m[MetricLearnConvergedFrac] = len(storeMetrics) + 6
-	m[MetricLearnEpsilon] = len(storeMetrics) + 7
+	m[MetricOvershootFrac] = len(rawMetrics)
+	m[MetricOvershootEMA] = len(rawMetrics) + 1
+	m[MetricIPSVsPeak] = len(rawMetrics) + 2
+	m[MetricDecideP99Ns] = len(rawMetrics) + 3
+	m[MetricLearnTDEMA] = len(rawMetrics) + 4
+	m[MetricLearnChurn] = len(rawMetrics) + 5
+	m[MetricLearnConvergedFrac] = len(rawMetrics) + 6
+	m[MetricLearnEpsilon] = len(rawMetrics) + 7
 	return m
 }()
 
-// nFrameMetrics is the per-epoch frame width: raw store metrics plus the
-// derived and learn.* ones.
-const nFrameMetrics = len(storeMetrics) + 8
+// nFrameMetrics is the per-epoch frame width: raw metrics plus the derived
+// and learn.* ones.
+const nFrameMetrics = len(rawMetrics) + 8
 
 // Comparison operators a Rule may use. OpNonfinite ignores Threshold and
 // holds when the metric is NaN or ±Inf — the telemetry-poisoning
@@ -74,7 +92,7 @@ const (
 type Rule struct {
 	// Name identifies the rule in alerts and the summary table.
 	Name string `json:"name"`
-	// Metric is a store metric (power_w, budget_w, ips, overshoot_w,
+	// Metric is a raw metric (power_w, budget_w, ips, overshoot_w,
 	// decide_ns, faults, max_temp_k) or a derived one (overshoot_frac,
 	// ips_vs_peak, decide_p99_ns).
 	Metric string `json:"metric"`

@@ -1,3 +1,11 @@
+// Package obs is the zero-dependency observability layer for the
+// simulation harness: a structured JSONL epoch tracer with pluggable sinks
+// and decimation, the observer interfaces the epoch loop reports through,
+// and span-style phase timers for controller profiling.
+//
+// Everything here is designed so that the disabled path costs nothing: a
+// nil Observer in sim.Options is a single branch per epoch, and the no-op
+// tracer's sampling gate is a handful of instructions (see BenchmarkObs*).
 package obs
 
 import (
@@ -238,9 +246,6 @@ type TracerOptions struct {
 	// Every is the decimation stride: epochs 0, Every, 2·Every, … are
 	// sampled. Values below 1 default to 1 (sample every epoch).
 	Every int
-	// Registry, when set, receives aggregate tracer metrics: run and
-	// sample counters plus a decision-latency histogram.
-	Registry *Registry
 }
 
 // Tracer is an Observer that emits JSONL records to a Sink. It is safe for
@@ -253,10 +258,6 @@ type Tracer struct {
 	// line is the hand-written encoders' output buffer, reused under mu
 	// (the Sink contract forbids retaining it).
 	line []byte
-
-	runCtr     *Counter
-	sampleCtr  *Counter
-	decideHist *Histogram
 }
 
 // NewTracer builds a tracer over the sink.
@@ -264,25 +265,12 @@ func NewTracer(sink Sink, opt TracerOptions) *Tracer {
 	if opt.Every < 1 {
 		opt.Every = 1
 	}
-	t := &Tracer{sink: sink, every: opt.Every}
-	if r := opt.Registry; r != nil {
-		t.runCtr = r.Counter("obs.trace.runs")
-		t.sampleCtr = r.Counter("obs.trace.samples")
-		// Decision latency from sub-microsecond per-core loops up to
-		// multi-millisecond centralised sweeps.
-		t.decideHist, _ = r.Histogram("obs.trace.decide_ns", []float64{
-			1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
-		})
-	}
-	return t
+	return &Tracer{sink: sink, every: opt.Every}
 }
 
 // BeginRun implements Observer.
 func (t *Tracer) BeginRun(meta RunMeta) RunObserver {
 	id := t.runs.Add(1)
-	if t.runCtr != nil {
-		t.runCtr.Inc()
-	}
 	t.emit(runStartRec{Type: "run_start", Run: id, RunMeta: meta})
 	return &runTracer{t: t, id: id}
 }
@@ -345,12 +333,6 @@ func (r *runTracer) ObserveEpoch(ev *EpochEvent) {
 		}
 	}
 	r.sampled.Add(1)
-	if r.t.sampleCtr != nil {
-		r.t.sampleCtr.Inc()
-	}
-	if r.t.decideHist != nil {
-		r.t.decideHist.Observe(float64(ev.DecideNs))
-	}
 	t := r.t
 	t.mu.Lock()
 	t.emitLine(appendEpochRec(t.line[:0], r.id, ev))

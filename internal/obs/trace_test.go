@@ -15,8 +15,7 @@ import (
 // proving the JSONL schema survives a write→read cycle unchanged.
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	reg := NewRegistry()
-	tr := NewTracer(NewWriterSink(&buf), TracerOptions{Every: 1, Registry: reg})
+	tr := NewTracer(NewWriterSink(&buf), TracerOptions{Every: 1})
 
 	meta := RunMeta{
 		Controller: "od-rl", Workload: "mix", Cores: 16,
@@ -62,14 +61,6 @@ func TestTracerRoundTrip(t *testing.T) {
 	end := recs[3]
 	if end.Type != "run_end" || end.Epochs != 2 || end.Sampled != 2 {
 		t.Errorf("run_end = %+v, want epochs=2 sampled=2", end)
-	}
-
-	s := reg.Snapshot()
-	if s.Counters["obs.trace.runs"] != 1 || s.Counters["obs.trace.samples"] != 2 {
-		t.Errorf("registry counters = %v", s.Counters)
-	}
-	if h := s.Histograms["obs.trace.decide_ns"]; h.Count != 2 || h.Sum != 1234+987 {
-		t.Errorf("decide histogram = %+v", h)
 	}
 }
 
@@ -413,7 +404,7 @@ func TestTracerDropsNonFiniteRecords(t *testing.T) {
 // tracer encodes and emits epoch, learn and converged records without
 // allocating.
 func TestTracerEpochEmitZeroAlloc(t *testing.T) {
-	tr := NewTracer(discardSink{}, TracerOptions{Registry: NewRegistry()})
+	tr := NewTracer(discardSink{}, TracerOptions{})
 	run := tr.BeginRun(RunMeta{})
 	lo := run.(LearnObserver)
 	ev := EpochEvent{TimeS: 0.25, PowerW: 23.75, BudgetW: 24, OvershootW: 1e-7, MaxTempK: 330.1,

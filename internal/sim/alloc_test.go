@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -13,8 +14,12 @@ import (
 
 // mallocsDuring returns the number of heap allocations performed while f
 // runs. A GC beforehand settles any pending finalizer work so stale
-// garbage from earlier tests cannot bleed into the count.
+// garbage from earlier tests cannot bleed into the count; the second GC
+// empties every sync.Pool (a pool's contents survive one cycle), so pooled
+// buffers such as encoding/json's are re-allocated the same way in every
+// measured run instead of only in runs that happened to follow a GC.
 func mallocsDuring(f func()) uint64 {
+	runtime.GC()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -27,7 +32,14 @@ func mallocsDuring(f func()) uint64 {
 // with a JSONL tracer sampling every epoch, monitoring and learning
 // introspection attached — the full observability stack a production run
 // carries — and returns how many heap allocations it made.
-func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, error)) uint64 {
+//
+// The monitor evaluates DeterministicDefaultRules plus extra: every rule
+// is a pure function of the simulated epoch stream, so whether an alert
+// fires is the same in every leg of a measurement. The wall-clock
+// decide-latency-p99 rule of DefaultRules is left out because on a loaded
+// host it can fire in the long leg only, and a first alert costs dozens of
+// one-off allocations that would be charged to the epoch loop.
+func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, error), extra ...monitor.Rule) (uint64, *monitor.Monitor) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Cores = 16
@@ -36,7 +48,9 @@ func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, 
 	opts.MeasureS = measureS
 	opts.TracePoints = 0
 	opts.Observer = obs.NewTracer(discardSink{}, obs.TracerOptions{Every: 1})
-	opts.Monitor = monitor.New(monitor.Options{})
+	rules := append(monitor.DeterministicDefaultRules(opts.BudgetW, opts.EpochS), extra...)
+	mon := monitor.New(monitor.Options{Rules: rules})
+	opts.Monitor = mon
 	opts.Learn = learn.New(learn.Options{})
 
 	env, err := EnvFor(opts)
@@ -54,7 +68,7 @@ func allocRun(t *testing.T, measureS float64, build func(Env) (ctrl.Controller, 
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return n
+	return n, mon
 }
 
 // discardSink accepts and drops every trace line.
@@ -69,9 +83,9 @@ func (discardSink) Close() error      { return nil }
 // buffers) cancels in the difference and the quotient is the steady-state
 // per-epoch allocation rate. The epoch kernel, the decide/learn path, the
 // tracer's epoch and learn records, and the monitor + learn observers
-// together must allocate nothing per epoch;
-// the threshold of 0.05 allocs/epoch leaves room only for amortized slice
-// growth inside the observers' time-series stores.
+// together must allocate nothing per epoch. The threshold of 0.05
+// allocs/epoch (50 over the 1000 extra epochs) absorbs runtime
+// background allocations, not per-epoch work.
 //
 // testing.AllocsPerRun is deliberately not used: it averages whole
 // invocations of Run, so chip construction would swamp the per-epoch
@@ -106,8 +120,8 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 			// registry, observer metadata) is counted by neither measured run.
 			allocRun(t, shortS, tc.build)
 
-			short := allocRun(t, shortS, tc.build)
-			long := allocRun(t, longS, tc.build)
+			short, _ := allocRun(t, shortS, tc.build)
+			long, _ := allocRun(t, longS, tc.build)
 
 			var perEpoch float64
 			if long > short {
@@ -120,5 +134,52 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 					perEpoch, short, long)
 			}
 		})
+	}
+}
+
+// alertFiringMaxAllocs bounds what one fired alert allocates once the
+// process is warm. On go1.24 it is 5: the event handed to the observer
+// chain, the retained copy in RunHealth.Alerts, and the tracer's JSON
+// alert record (boxing, encoding, line copy).
+const alertFiringMaxAllocs = 8
+
+// TestAlertFiringAllocs keeps the alert path covered now that the
+// zero-alloc gate runs with rules that a healthy run never trips. Runs of
+// equal length differ only by a rule that holds on every epoch (the budget
+// is positive), so it fires exactly once; the difference in heap
+// allocations is the cost of one fired alert, traced and retained. Each
+// leg takes the minimum of three runs, since runtime background work can
+// only add allocations.
+func TestAlertFiringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; not meaningful under -race")
+	}
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	const measureS = 0.2
+	build := func(env Env) (ctrl.Controller, error) { return NewController("od-rl", env) }
+	always := monitor.Rule{Name: "always", Metric: monitor.MetricBudgetW, Op: monitor.OpGT, Threshold: 0, ForEpochs: 1}
+
+	// Warm once with the rule so one-off costs (the JSON encoder's type
+	// cache for the alert record) are paid before any measured run.
+	allocRun(t, measureS, build, always)
+
+	leg := func(extra ...monitor.Rule) uint64 {
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			n, mon := allocRun(t, measureS, build, extra...)
+			if got := mon.AlertsFired(); got != len(extra) {
+				t.Fatalf("run with %d always-true rules fired %d alerts", len(extra), got)
+			}
+			best = min(best, n)
+		}
+		return best
+	}
+	quiet, fired := leg(), leg(always)
+	cost := int64(fired) - int64(quiet)
+	t.Logf("allocs: quiet=%d fired=%d => one alert costs %d", quiet, fired, cost)
+	if cost < 1 || cost > alertFiringMaxAllocs {
+		t.Fatalf("one fired alert cost %d allocations, want 1..%d", cost, alertFiringMaxAllocs)
 	}
 }

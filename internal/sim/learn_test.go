@@ -80,7 +80,7 @@ func TestLearnObservesRun(t *testing.T) {
 		t.Fatalf("learn layer saw %d runs, want 1", len(runs))
 	}
 	warm, measure := opts.Epochs()
-	s := runs[0].Summarize(false)
+	s := runs[0].Summarize()
 	if s.Epochs != warm+measure {
 		t.Fatalf("learn epochs = %d, want %d (controller decisions incl. warmup)", s.Epochs, warm+measure)
 	}
@@ -159,7 +159,7 @@ func TestDefaultLearnFallback(t *testing.T) {
 	opts := monitorTestOpts()
 	opts.MeasureS = 0.1
 	runWith(t, opts, "od-rl")
-	if runs := lrn.Runs(); len(runs) != 1 || runs[0].Summarize(false).Epochs == 0 {
+	if runs := lrn.Runs(); len(runs) != 1 || runs[0].Summarize().Epochs == 0 {
 		t.Fatalf("DefaultLearn saw %d runs", len(lrn.Runs()))
 	}
 }

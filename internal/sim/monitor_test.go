@@ -104,8 +104,8 @@ func TestMonitorObservesRun(t *testing.T) {
 	if h.Decide.Count() != int64(measure) || h.Decide.Quantile(0.99) <= 0 {
 		t.Fatalf("decide sketch: count %d p99 %g", h.Decide.Count(), h.Decide.Quantile(0.99))
 	}
-	if got, err := h.Store.Get("power_w"); err != nil || got.Epochs != measure {
-		t.Fatalf("power series: %v / %+v", err, got)
+	if h.Overshoot.Count() != int64(measure) {
+		t.Fatalf("overshoot sketch: count %d, want %d", h.Overshoot.Count(), measure)
 	}
 	if mon.Timeline().Total() == 0 {
 		t.Fatal("no phase spans streamed from the od-rl controller")

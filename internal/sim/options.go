@@ -77,8 +77,8 @@ type Options struct {
 	// branch per epoch. Falls back to DefaultObserver when nil.
 	Observer obs.Observer
 	// Monitor, when set, wraps the run's observer chain with the
-	// run-health layer (time series, quantile sketches, alert rules, live
-	// HTTP views; see package obs/monitor) and streams controller phase
+	// run-health layer (quantile sketches and alert rules; see package
+	// obs/monitor) and streams controller phase
 	// spans into its timeline. Monitoring is strictly read-only:
 	// simulation results are bit-identical with it on or off. Falls back
 	// to DefaultMonitor when nil.
